@@ -16,7 +16,10 @@ the write lock before the database accepts queries:
    crash mid-append loses exactly the unacknowledged record and
    nothing else.  Replayed records re-run the normal update paths with
    ``manager.replaying`` set (which suppresses re-logging and
-   auto-checkpoints);
+   auto-checkpoints).  Each WAL's records are one replay batch
+   (:meth:`Database._replay_records`): every document is cloned once
+   per WAL, not once per record, and the batch is published in one
+   snapshot swap;
 4. the manager's generation is advanced past *every* file present on
    disk — even corrupt ones — so the next checkpoint can never collide
    with (and be masked by) a damaged file;
@@ -42,9 +45,11 @@ __all__ = ["recover"]
 def recover(manager, database) -> dict:
     """Restore ``database`` from ``manager.directory``.
 
-    Returns a report dict: chosen snapshot generation (or None),
-    snapshots that failed validation, WAL records replayed, and bytes
-    truncated from torn WAL tails.
+    Each WAL file's records are handed to the engine as one replay
+    batch, published in one snapshot swap (a ``load`` record publishes
+    on its own).  Returns a report dict: chosen snapshot generation
+    (or None), snapshots that failed validation, WAL records replayed,
+    and bytes truncated from torn WAL tails.
     """
     directory = manager.directory
     generations = list_generations(directory)
@@ -106,9 +111,7 @@ def recover(manager, database) -> dict:
                     continue
                 truncated += max(0, size_before - wal.size_bytes)
                 wal.close()
-            for record in records:
-                database._replay_record(record)
-                replayed += 1
+            replayed += database._replay_records(records)
     finally:
         manager.replaying = False
 

@@ -48,8 +48,10 @@ and ``checkpoint()`` (explicit, or automatic every
 ``checkpoint_every`` logged operations) publishes an atomic snapshot
 and rotates the log.  Re-opening the directory restores the newest
 valid snapshot — bypassing XML parsing and ``rebuild_derived``
-entirely — and replays the WAL suffix; a corrupt newest snapshot falls
-back to the previous generation.  See :mod:`repro.durability`.
+entirely — and replays the WAL suffix, one batch per WAL file (one
+clone per document, one publish: :meth:`Database._replay_records`); a
+corrupt newest snapshot falls back to the previous generation.  See
+:mod:`repro.durability`.
 
 Concurrency — MVCC snapshot reads
 ---------------------------------
@@ -294,6 +296,9 @@ class Database:
         self._snapshot = DatabaseSnapshot({}, None, 0)
         self._version_counter = 0   # only advanced under the write lock
         self._publishes = 0         # snapshot swaps (metrics)
+        # uri -> unpublished successor while a WAL replay batch runs
+        # (see _replay_records); None outside one.
+        self._replay_pending: Optional[dict] = None
         # Version-pin gauge: how many queries currently hold a pinned
         # snapshot (repro_version_pins).
         self._pin_lock = threading.Lock()
@@ -352,10 +357,13 @@ class Database:
         with self._pin_lock:
             return self._active_pins
 
-    def _pin(self) -> DatabaseSnapshot:
-        """Pin the current snapshot for one query (gauge bookkeeping;
-        the pin itself is just the attribute read)."""
-        snapshot = self._snapshot
+    def _pin(self, snapshot: Optional[DatabaseSnapshot] = None
+             ) -> DatabaseSnapshot:
+        """Pin the current snapshot (or a caller's private one) for one
+        query (gauge bookkeeping; the pin itself is just the attribute
+        read)."""
+        if snapshot is None:
+            snapshot = self._snapshot
         with self._pin_lock:
             self._active_pins += 1
         return snapshot
@@ -377,13 +385,21 @@ class Database:
                                           load_epoch)
         self._publishes += 1
 
-    def _publish_version(self, version: DocumentVersion) -> None:
-        """Publish one new document version into a successor snapshot."""
+    def _with_versions(self, versions: Iterable[DocumentVersion]
+                       ) -> DatabaseSnapshot:
+        """A successor of the current snapshot holding ``versions``
+        (not published)."""
         snapshot = self._snapshot
         documents = dict(snapshot.documents)
-        documents[version.uri] = version
-        self._publish(documents, snapshot.default_uri,
-                      snapshot.load_epoch)
+        documents.update((version.uri, version) for version in versions)
+        return DatabaseSnapshot(documents, snapshot.default_uri,
+                                snapshot.load_epoch)
+
+    def _publish_version(self, *versions: DocumentVersion) -> None:
+        """Publish new document versions in one successor snapshot."""
+        successor = self._with_versions(versions)
+        self._publish(successor.documents, successor.default_uri,
+                      successor.load_epoch)
 
     # -- durability ---------------------------------------------------------------
 
@@ -552,11 +568,53 @@ class Database:
                             in sorted(snapshot.documents.items())},
         }
 
+    def _replay_records(self, records: list[dict]) -> int:
+        """Replay a batch of logged operations and publish the result
+        once; returns the number of records replayed.
+
+        The caller holds the write lock (recovery, replica apply).
+        The batch's first ``insert``/``delete`` on a document clones
+        its published version; every later record of the batch splices
+        that private successor in place, so a batch costs one
+        O(document) clone per document instead of one per record.  The
+        successors are published together, in one snapshot swap, after
+        the last record (or before a ``load`` record).  Any exception —
+        including a record whose generation stamp disagrees
+        (:class:`RecoveryError`) — drops the unpublished successors, so
+        readers never see the records that preceded a failure in them.
+        """
+        self._replay_pending = {}
+        try:
+            for record in records:
+                self._replay_record(record)
+            self._publish_pending()
+        finally:
+            self._replay_pending = None
+        return len(records)
+
+    def _publish_pending(self) -> None:
+        """Publish the running replay batch's successors (if any)."""
+        pending = self._replay_pending
+        if pending:
+            self._publish_version(*pending.values())
+            pending.clear()
+
     def _replay_record(self, record: dict) -> None:
-        """Re-apply one logged operation during recovery (the manager's
-        ``replaying`` flag suppresses re-logging and checkpoints)."""
+        """Re-apply one logged operation (the manager's ``replaying``
+        flag suppresses re-logging and checkpoints).
+
+        The single applier of recovery and replica catch-up.  Inside
+        :meth:`_replay_records` the update lands in the batch's
+        unpublished successor; called on its own it is a batch of one.
+        A ``load`` record first publishes the successors pending so
+        far, then loads and publishes as a live load does.
+        """
+        if self._replay_pending is None:
+            self._replay_records([record])
+            return
         op = record.get("op")
         if op == "load":
+            self._publish_pending()
             tree = parse(record["xml"], keep_whitespace=True,
                          uri=record["uri"])
             self._load_tree_locked(tree, record["uri"])
@@ -569,7 +627,7 @@ class Database:
             self._delete_locked(record["path"], record["uri"])
         else:
             raise RecoveryError(f"unknown WAL record op {op!r}")
-        document = self.documents.get(record["uri"])
+        document = self._replay_pending.get(record["uri"])
         if document is None or document.generation != record["generation"]:
             got = None if document is None else document.generation
             raise RecoveryError(
@@ -790,7 +848,8 @@ class Database:
     def _run_compiled(self, text: str, plan, plan_hit: bool,
                       strategy: str, uri: Optional[str],
                       variables: Optional[dict],
-                      timeout_seconds: Optional[float] = None
+                      timeout_seconds: Optional[float] = None,
+                      snapshot: Optional[DatabaseSnapshot] = None
                       ) -> QueryResult:
         """Execute a compiled plan through the result cache.
 
@@ -800,6 +859,10 @@ class Database:
         touching the pinned one.  The result-cache stamp is the pinned
         snapshot's, so a result computed here can only ever be served
         to queries seeing the same versions.
+
+        ``snapshot`` runs the plan over a private, unpublished snapshot
+        instead (an update resolving its target inside a replay batch);
+        such a run bypasses the result cache.
         """
         if strategy not in STRATEGIES:
             raise ExecutionError(
@@ -807,11 +870,11 @@ class Database:
         started = time.perf_counter()
         deadline = (None if timeout_seconds is None
                     else time.monotonic() + timeout_seconds)
-        cacheable = not variables
+        cacheable = not variables and snapshot is None
         observability = self.observability
         with observability.tracer.span("query", strategy=strategy) \
                 as query_span:
-            snapshot = self._pin()
+            snapshot = self._pin(snapshot)
             try:
                 stamp = snapshot.stamp
                 key = ResultCache.key(text, strategy,
@@ -1311,8 +1374,7 @@ class Database:
     def _insert_locked(self, parent_path: str, fragment: str,
                        position: Optional[int],
                        uri: Optional[str]) -> dict:
-        document = self.document(uri)
-        targets = self.query(parent_path, uri=uri).items
+        document, targets = self._update_targets(parent_path, uri)
         if len(targets) != 1 or not isinstance(targets[0], model.Element):
             raise ExecutionError(
                 f"insert target {parent_path!r} must select exactly one "
@@ -1344,12 +1406,12 @@ class Database:
             "generation": document.generation + 1,
         })
 
-        # Copy-on-write: all splicing happens on a clone; ``document``
-        # (and everything readers may have pinned) stays untouched.
-        # The target resolved against the pinned tree maps to the clone
+        # Copy-on-write: all splicing happens on a private successor;
+        # the published version (and everything readers may have
+        # pinned) stays untouched.  The target maps to the successor
         # through its storage pre-order id.
         parent_pre = document.preorder_map[parent.node_id]
-        version = self._clone_version(document)
+        version = self._successor(document)
         clone_parent = version.node_list[parent_pre]
 
         # Primary stores: local splices, with the paper's cost metrics.
@@ -1384,8 +1446,7 @@ class Database:
             return self._delete_locked(path, uri)
 
     def _delete_locked(self, path: str, uri: Optional[str]) -> dict:
-        document = self.document(uri)
-        targets = self.query(path, uri=uri).items
+        document, targets = self._update_targets(path, uri)
         if len(targets) != 1 or not isinstance(targets[0], model.Element):
             raise ExecutionError(
                 f"delete target {path!r} must select exactly one element "
@@ -1400,7 +1461,7 @@ class Database:
             "generation": document.generation + 1,
         })
         preorder = document.preorder_map[victim.node_id]
-        version = self._clone_version(document)
+        version = self._successor(document)
         clone_victim = version.node_list[preorder]
 
         # Derived deltas that need pre-splice labels run first: the tag
@@ -1422,6 +1483,38 @@ class Database:
         return {"succinct": succinct_metrics, "interval": interval_metrics}
 
     # -- copy-on-write version construction ---------------------------------------
+
+    def _update_targets(self, path: str, uri: Optional[str]
+                        ) -> tuple[DocumentVersion, list]:
+        """The version an update starts from and the items ``path``
+        selects in it.
+
+        Normally the published version, resolved through
+        :meth:`query`.  Inside a replay batch that already spliced some
+        documents, the path is evaluated over a private snapshot
+        holding the batch's unpublished successors (not through
+        :meth:`query`, which would pin the published one).
+        """
+        pending = self._replay_pending
+        if not pending:
+            return self.document(uri), self.query(path, uri=uri).items
+        view = self._with_versions(pending.values())
+        plan, plan_hit = self._compiled_plan(path)
+        result = self._run_compiled(path, plan, plan_hit=plan_hit,
+                                    strategy="auto", uri=uri,
+                                    variables=None, snapshot=view)
+        return self._document_in(view, uri), result.items
+
+    def _successor(self, document: DocumentVersion) -> DocumentVersion:
+        """The private version an update splices: a fresh clone, or —
+        when ``document`` already is the running replay batch's
+        unpublished successor — ``document`` itself, under a new
+        version id."""
+        pending = self._replay_pending
+        if pending is not None and pending.get(document.uri) is document:
+            document.version_id = self._next_version_id()
+            return document
+        return self._clone_version(document)
 
     def _clone_version(self, base: DocumentVersion) -> DocumentVersion:
         """An independent successor of ``base`` for a writer to splice.
@@ -1506,11 +1599,16 @@ class Database:
         bump its generation, verify (in debug mode), publish the new
         snapshot, and only then offer the checkpoint policy a safe
         point (a checkpoint serializes ``self.documents``, so it must
-        run after the publish to capture what it just made durable)."""
+        run after the publish to capture what it just made durable).
+        Inside a replay batch the sealed version is kept as the batch's
+        successor instead; the batch publishes it."""
         version.generation += 1
         version.runtime.refresh_segments()
         if self.debug_checks:
             self.verify_derived(version)
+        if self._replay_pending is not None:
+            self._replay_pending[version.uri] = version
+            return
         self._publish_version(version)
         if self.durability is not None:
             # The logged operation is fully applied and visible: safe

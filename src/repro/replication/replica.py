@@ -11,13 +11,17 @@ converged with a primary through a :class:`ReplicationSource`:
    (:meth:`Database.install_snapshot_state`); the cursor starts at that
    generation's WAL floor.
 2. **tail** — poll ``repl wal`` batches from the cursor and replay each
-   record through :meth:`Database._replay_record` under the write lock,
-   exactly as crash recovery does.  MVCC makes this safe under load:
-   queries run against pinned snapshots and never block on the replay
-   writer.  Replay is **idempotent** — a record whose LSN is at or
-   below ``applied_lsn`` (a duplicated ship batch) is skipped, and a
-   generation-stamp mismatch (divergence, e.g. after a gap) triggers a
-   fresh bootstrap instead of corrupting state.
+   batch's new records through :meth:`Database._replay_records` under
+   the write lock, exactly as crash recovery replays a WAL file: one
+   copy-on-write successor per document, published once per batch.
+   MVCC makes this safe under load: queries run against pinned
+   snapshots and never block on the replay writer.  Replay is
+   **idempotent** — a record whose LSN is at or below ``applied_lsn``
+   (a duplicated ship batch) is skipped, and ``applied_lsn`` advances
+   to the batch's last record only after the batch is published.  A
+   generation-stamp mismatch (divergence, e.g. after a gap) drops the
+   whole unpublished batch and triggers a fresh bootstrap instead of
+   corrupting state.
 
 **Staleness.**  Every WAL record carries the primary's append wall
 clock (``ts``); the replica's *freshness* is the latest of (a) the last
@@ -187,7 +191,9 @@ class Replica:
     fault-injecting wrapper with the same five methods).  The replica
     can be driven manually (:meth:`bootstrap` + :meth:`poll_once` —
     what the deterministic tests do) or by its background tail thread
-    (:meth:`start`/:meth:`stop`).
+    (:meth:`start`/:meth:`stop`).  Each poll replays its ship batch as
+    one engine batch; ``applied_lsn`` moves only after that batch is
+    published.
     """
 
     def __init__(self, source, replica_id: Optional[str] = None,
@@ -285,8 +291,9 @@ class Replica:
             # generation never grows again, so "exhausted at
             # production time" means exhausted forever.  The cursor is
             # NEVER advanced from a non-rotation batch's claimed LSN —
-            # only per applied record — so a truncated/garbled batch
-            # can at worst delay replay, never skip records.
+            # only to the last record of a published batch — so a
+            # truncated/garbled batch can at worst delay replay, never
+            # skip records.
             self.applied_lsn = next_lsn
         if fresh_response and self.applied_lsn >= self.primary_lsn:
             # Fully caught up as of the moment we *started* the fetch:
@@ -297,36 +304,45 @@ class Replica:
         return applied
 
     def _apply_records(self, batch: dict) -> int:
-        records = batch["records"]
-        if not records:
-            return 0
+        """Replay a ship batch's new records as one engine batch.
+
+        Records at or below the cursor (a duplicated ship batch, or
+        overlap after a retried poll) are skipped; the rest go to
+        :meth:`Database._replay_records`, which publishes them in one
+        snapshot swap.  The cursor and freshness advance only after
+        that publish, so an ``admit_query`` ``min_lsn`` check never
+        admits a read the published snapshot cannot satisfy.
+        """
         generation = lsn_from_wire(batch["lsn"])[0]
+        fresh = []
+        last_lsn = self.applied_lsn
+        for record, end in zip(batch["records"], batch["offsets"]):
+            lsn = (generation, end)
+            if lsn <= last_lsn:
+                self.duplicates_skipped += 1
+                continue
+            fresh.append(record)
+            last_lsn = lsn
+        if not fresh:
+            return 0
         database = self.database
-        applied = 0
         try:
             with database.rwlock.write_locked():
-                for record, end in zip(records, batch["offsets"]):
-                    lsn = (generation, end)
-                    if lsn <= self.applied_lsn:
-                        # Duplicated ship batch (or overlap after a
-                        # retried poll): already applied, skip.
-                        self.duplicates_skipped += 1
-                        continue
-                    database._replay_record(record)
-                    self.applied_lsn = lsn
-                    applied += 1
-                    ts = record.get("ts")
-                    if isinstance(ts, (int, float)):
-                        self._advance_freshness(float(ts))
+                database._replay_records(fresh)
         except RecoveryError:
-            # Divergence: the record's generation stamp disagrees with
+            # Divergence: a record's generation stamp disagrees with
             # our state (e.g. records lost across a gap we failed to
-            # notice).  Re-bootstrap rather than serve wrong answers.
-            self.records_applied += applied
+            # notice).  The batch was dropped unpublished; re-bootstrap
+            # rather than serve wrong answers.
             self.bootstrap()
-            return applied
-        self.records_applied += applied
-        return applied
+            return 0
+        self.applied_lsn = last_lsn
+        self.records_applied += len(fresh)
+        stamps = [float(record["ts"]) for record in fresh
+                  if isinstance(record.get("ts"), (int, float))]
+        if stamps:
+            self._advance_freshness(max(stamps))
+        return len(fresh)
 
     def _advance_freshness(self, ts: float) -> None:
         if self.freshness_ts is None or ts > self.freshness_ts:

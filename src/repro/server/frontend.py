@@ -448,6 +448,13 @@ class ServerFrontend:
     def _close_listener(self) -> None:
         listener, self._listener = self._listener, None
         if listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, so stop() need not wait out
+            # the acceptor join timeout.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:

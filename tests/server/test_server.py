@@ -304,6 +304,20 @@ class TestAdmissionControl:
                     client.query("//doc/a")  # no explicit timeout
 
 
+class TestStop:
+    def test_stop_wakes_the_blocked_acceptor(self, reference_db):
+        frontend = make_inline(reference_db)
+        frontend.start()
+        host, port = frontend.address
+        with ServerClient(host, port) as client:
+            assert client.ping()["pong"]   # acceptor is back in accept()
+        acceptor = frontend._acceptor
+        started = time.monotonic()
+        frontend.stop()
+        assert time.monotonic() - started < 1.0
+        assert not acceptor.is_alive()
+
+
 class TestDrain:
     def test_drain_finishes_inflight_and_rejects_new(self, sleepy_db):
         frontend = make_inline(sleepy_db, inline_concurrency=2)
