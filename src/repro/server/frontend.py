@@ -703,8 +703,12 @@ class ServerFrontend:
         acquired = False
         try:
             with self.tracer.span("server.admit") as admit_span:
-                self._slots.acquire()
-                acquired = True
+                # Wait no longer than the budget: a request whose
+                # deadline passes in the queue gives up its place then,
+                # not when a slot eventually frees.
+                acquired = self._slots.acquire(
+                    timeout=None if deadline is None
+                    else max(0.0, deadline - time.monotonic()))
                 waited = time.perf_counter() - wait_started
                 admit_span.set(queue_wait_seconds=waited)
         finally:
@@ -715,6 +719,8 @@ class ServerFrontend:
                 if acquired:
                     self._running += 1
         self.queue_wait.observe(waited)
+        if not acquired:
+            return self._admission_timeout(timeout, waited)
         try:
             if self._draining:
                 self.rejections_total.inc(1, reason="draining")
@@ -723,16 +729,21 @@ class ServerFrontend:
                     "queued"))
             if deadline is not None \
                     and time.monotonic() >= deadline:
-                self.timeouts_total.inc(1, stage="admission")
-                return protocol.error_payload(QueryTimeoutError(
-                    f"request exhausted its {timeout:.3f}s budget "
-                    f"after {waited:.3f}s in the admission queue; "
-                    f"rejected before execution"))
+                return self._admission_timeout(timeout, waited)
             return self._dispatch(request, deadline, trace_id)
         finally:
             with self._admission_lock:
                 self._running -= 1
             self._slots.release()
+
+    def _admission_timeout(self, timeout: float, waited: float) -> dict:
+        """Typed ``TIMEOUT`` for a request whose budget ran out in the
+        admission queue — it never reaches execution."""
+        self.timeouts_total.inc(1, stage="admission")
+        return protocol.error_payload(QueryTimeoutError(
+            f"request exhausted its {timeout:.3f}s budget after "
+            f"{waited:.3f}s in the admission queue; rejected before "
+            f"execution"))
 
     def _handle_repl(self, request: dict) -> dict:
         """The ``repl`` verb: publisher on a primary, status on a

@@ -29,15 +29,32 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.storage.bitvector import WORD_BITS, BitVector
+from repro.storage.bitvector import WORD_BITS, BitVector, pack_words
 
 __all__ = ["BalancedParens"]
+
+
+def _bit_excess(word: int, valid: int) -> tuple[int, int, int]:
+    """(total, min, max) running excess over the low ``valid`` bits of
+    ``word``, walked one bit at a time."""
+    excess = low = high = 0
+    for bit_index in range(valid):
+        excess += 1 if (word >> bit_index) & 1 else -1
+        if excess < low:
+            low = excess
+        if excess > high:
+            high = excess
+    return excess, low, high
+
+
+# (total, min, max) excess of every byte value, lowest bit first.
+_BYTE_EXCESS = tuple(_bit_excess(byte, 8) for byte in range(256))
 
 
 class BalancedParens:
     """Read-only navigation over a BP bitvector (1 = open, 0 = close)."""
 
-    __slots__ = ("bits", "_word_total", "_word_min", "_word_max", "_cum")
+    __slots__ = ("bits", "_word_total", "_word_min", "_word_max")
 
     def __init__(self, bits: BitVector):
         if len(bits) % 2 != 0:
@@ -48,31 +65,39 @@ class BalancedParens:
         self._build_directory()
 
     def _build_directory(self) -> None:
+        """Per word: total excess and the min/max running excess (the
+        empty prefix included, so ``min <= 0 <= max``).  Full words
+        combine eight :data:`_BYTE_EXCESS` entries; only a final partial
+        word is walked bit by bit."""
         words = self.bits._words
         length = len(self.bits)
+        full_words = length // WORD_BITS
         totals: list[int] = []
         minima: list[int] = []
         maxima: list[int] = []
-        cumulative = [0]
-        for word_index, word in enumerate(words):
-            valid = min(WORD_BITS, length - word_index * WORD_BITS)
-            excess = 0
-            low = 0
-            high = 0
-            for bit_index in range(valid):
-                excess += 1 if (word >> bit_index) & 1 else -1
-                if excess < low:
-                    low = excess
-                if excess > high:
-                    high = excess
+        data = pack_words(words[:full_words])
+        for start in range(0, len(data), 8):
+            excess = low = high = 0
+            for byte in data[start:start + 8]:
+                total, byte_low, byte_high = _BYTE_EXCESS[byte]
+                if excess + byte_low < low:
+                    low = excess + byte_low
+                if excess + byte_high > high:
+                    high = excess + byte_high
+                excess += total
             totals.append(excess)
             minima.append(low)
             maxima.append(high)
-            cumulative.append(cumulative[-1] + excess)
+        for word_index in range(full_words, len(words)):
+            total, low, high = _bit_excess(
+                words[word_index],
+                max(0, length - word_index * WORD_BITS))
+            totals.append(total)
+            minima.append(low)
+            maxima.append(high)
         self._word_total = totals
         self._word_min = minima
         self._word_max = maxima
-        self._cum = cumulative
 
     # -- excess ---------------------------------------------------------------
 

@@ -23,7 +23,7 @@ __all__ = ["ContentStore"]
 class ContentStore:
     """Append-only heap of content strings, addressed by content id."""
 
-    __slots__ = ("_buffer", "_offsets", "_owners", "_dead")
+    __slots__ = ("_buffer", "_offsets", "_owners", "_dead", "_payload")
 
     def __init__(self):
         self._buffer: list[str] = []
@@ -32,6 +32,9 @@ class ContentStore:
         self._offsets: list[int] = [0]
         self._owners: list[int] = []
         self._dead = 0
+        # UTF-8 bytes of every stored value, tombstones included (the
+        # heap is append-only): kept running so size_bytes() is O(1).
+        self._payload = 0
 
     def append(self, value: str, owner: int) -> int:
         """Store ``value`` for the node with pre-order id ``owner``;
@@ -39,6 +42,7 @@ class ContentStore:
         self._buffer.append(value)
         self._offsets.append(self._offsets[-1] + len(value))
         self._owners.append(owner)
+        self._payload += _utf8_length(value)
         return len(self._owners) - 1
 
     def get(self, content_id: int) -> str:
@@ -117,6 +121,7 @@ class ContentStore:
         twin._offsets = list(self._offsets)
         twin._owners = list(self._owners)
         twin._dead = self._dead
+        twin._payload = self._payload
         return twin
 
     # -- serialization -------------------------------------------------------
@@ -143,6 +148,7 @@ class ContentStore:
         store._offsets = offsets
         store._owners = list(state["owners"])
         store._dead = sum(1 for owner in store._owners if owner < 0)
+        store._payload = _utf8_length(buffer)
         return store
 
     # -- accounting ----------------------------------------------------------
@@ -150,9 +156,12 @@ class ContentStore:
     def size_bytes(self) -> int:
         """Bytes charged: UTF-8 payload plus a 4-byte offset per entry and
         a 4-byte owner reference per entry."""
-        payload = sum(len(value.encode("utf-8")) for value in self._buffer)
-        return payload + 4 * (len(self._offsets) + len(self._owners))
+        return self._payload + 4 * (len(self._offsets) + len(self._owners))
 
     def __repr__(self) -> str:
         return f"<ContentStore entries={len(self._owners)}>"
 
+
+def _utf8_length(value: str) -> int:
+    """Bytes ``value`` occupies in UTF-8 (ASCII needs no encode)."""
+    return len(value) if value.isascii() else len(value.encode("utf-8"))

@@ -372,14 +372,15 @@ class SuccinctDocument:
                        subtree: model.Element) -> dict[str, int]:
         """Insert ``subtree`` as the ``position``-th child of ``parent``.
 
-        Rebuilds the BP/tag/kind arrays with a local splice, renumbering
-        only nodes at or after the insertion point.  Returns update-cost
-        metrics for experiment E7::
+        Splices the BP/tag/kind arrays locally, renumbering only nodes at
+        or after the insertion point.  Returns update-cost metrics for
+        experiment E7::
 
             {"shifted_entries": ..., "inserted_nodes": ..., "bp_bits_moved": ...}
 
-        (A production implementation would splice byte ranges in place; the
-        metrics charge exactly the entries a byte splice would move.)
+        The metrics charge exactly the entries the splice moves: the
+        tag/kind arrays shift by slice assignment and the BP bits by
+        :meth:`BitVector.splice` on the packed words.
         """
         self._check(parent)
         if self._kinds[parent] not in (KIND_ELEMENT, KIND_DOCUMENT):
@@ -430,17 +431,9 @@ class SuccinctDocument:
         self._tags[insert_at:insert_at] = new_tags
         self._kinds[insert_at:insert_at] = bytes(new_kinds)
 
-        # Splice the BP bits (word-wise iteration — BitVector.__iter__
-        # shifts within cached words instead of per-bit __getitem__).
-        from itertools import islice
-
         old_bits = self.bp.bits
-        bits_builder = BitVectorBuilder()
-        source = iter(old_bits)
-        bits_builder.extend(islice(source, anchor_position))
-        bits_builder.extend(new_bits)
-        bits_builder.extend(source)
-        self._bp = BalancedParens(bits_builder.build())
+        self._bp = BalancedParens(
+            old_bits.splice(anchor_position, anchor_position, new_bits))
 
         # Renumber content ownership at or after the insertion point —
         # in both directions: the preorder->content map and the content
@@ -483,15 +476,8 @@ class SuccinctDocument:
         del self._tags[preorder:preorder + removed]
         del self._kinds[preorder:preorder + removed]
 
-        from itertools import islice
-
-        bits_builder = BitVectorBuilder()
-        source = iter(old_bits)
-        bits_builder.extend(islice(source, open_position))
-        for _ in islice(source, close_position - open_position + 1):
-            pass  # drop the deleted subtree's parenthesis range
-        bits_builder.extend(source)
-        self._bp = BalancedParens(bits_builder.build())
+        self._bp = BalancedParens(
+            old_bits.splice(open_position, close_position + 1))
 
         # Content entries of deleted nodes are dropped from the mapping
         # and *tombstoned* in the heap (owner = -1), so value indexes that

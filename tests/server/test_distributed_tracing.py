@@ -330,10 +330,13 @@ class TestAdmissionDeadline:
                     "blocker never reached execution"
                 time.sleep(0.002)
             # The slot is held: this request's whole 0.15s budget
-            # burns in the admission queue.
+            # burns in the admission queue — and the answer comes when
+            # the budget runs out, not when the blocker frees the slot.
+            asked = time.monotonic()
             response = frontend.handle_request(
                 {"verb": "query", "text": "//a",
                  "timeout_seconds": 0.15})
+            assert time.monotonic() - asked < 2.0
             assert response["ok"] is False
             assert response["code"] == "TIMEOUT"
             assert "admission" in response["error"]

@@ -181,6 +181,42 @@ def test_excess_depth_matches_pointer_tree(root):
         assert bp.depth(node.open_pos) == depth
 
 
+def reference_directory(bits: list[int]):
+    """Per 64-bit word: (total, min, max) running excess, the empty
+    prefix included — walked one bit at a time."""
+    directory = []
+    for start in range(0, len(bits), 64):
+        excess = low = high = 0
+        for bit in bits[start:start + 64]:
+            excess += 1 if bit else -1
+            low = min(low, excess)
+            high = max(high, excess)
+        directory.append((excess, low, high))
+    return directory
+
+
+def assert_directory_matches(bits: list[int]) -> None:
+    bp = BalancedParens(BitVector.from_bits(bits))
+    assert list(zip(bp._word_total, bp._word_min, bp._word_max)) \
+        == reference_directory(bits)
+
+
+@given(random_trees())
+@settings(max_examples=60, deadline=None)
+def test_excess_directory_matches_bit_reference(root):
+    assert_directory_matches(encode(root))
+
+
+@pytest.mark.parametrize("bits", [
+    [1] * 1000 + [0] * 1000,            # 31 full words + a 16-bit tail
+    [1, 0] * 64,                        # exactly two full words
+    [1] + [1, 0] * 100 + [0],           # 202 bits: partial final word
+    [1] * 32 + [0] * 32,                # one word, excess peaks mid-word
+], ids=["path", "two-words", "wide", "one-word"])
+def test_excess_directory_shapes(bits):
+    assert_directory_matches(bits)
+
+
 def test_deep_tree_crossing_many_words():
     # A path of 1000 nodes: exercises word and directory skipping.
     depth = 1000

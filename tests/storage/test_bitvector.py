@@ -84,6 +84,52 @@ def test_select_inverts_rank(bits):
         assert vector.select0(k) == position
 
 
+def _check_splice(bits, start, stop, inserted):
+    vector = BitVector.from_bits(bits).splice(start, stop, inserted)
+    expected = bits[:start] + inserted + bits[stop:]
+    assert len(vector) == len(expected)
+    assert list(vector) == expected
+    assert vector.ones == sum(expected)
+    assert [vector.rank1(i) for i in range(0, len(expected) + 1, 7)] \
+        == [sum(expected[:i]) for i in range(0, len(expected) + 1, 7)]
+    # Bits past the end stay clear, so the rank directory is exact.
+    assert len(vector._words) == -(-len(expected) // 64)
+
+
+_bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=300)
+
+
+@given(_bit_lists, _bit_lists, st.data())
+@settings(max_examples=120, deadline=None)
+def test_splice_matches_list_splice(bits, inserted, data):
+    start = data.draw(st.integers(0, len(bits)), label="start")
+    stop = data.draw(st.integers(start, len(bits)), label="stop")
+    _check_splice(bits, start, stop, inserted)
+
+
+@given(st.integers(min_value=130, max_value=400), _bit_lists, st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_splice_cuts_at_word_edges(length, inserted, rng):
+    bits = [rng.randint(0, 1) for _ in range(length)]
+    cuts = (0, 63, 64, 65, length)
+    for start in cuts:
+        for stop in cuts:
+            if start <= stop:
+                _check_splice(bits, start, stop, inserted)
+
+
+def test_splice_rejects_bad_ranges():
+    vector = BitVector.from_bits([1, 0, 1])
+    for start, stop in ((-1, 2), (2, 1), (0, 4)):
+        with pytest.raises(IndexError):
+            vector.splice(start, stop, [1])
+
+
+def test_splice_to_empty_and_from_empty():
+    assert len(BitVector.from_bits([1, 0]).splice(0, 2)) == 0
+    assert list(BitVector.from_bits([]).splice(0, 0, [0, 1])) == [0, 1]
+
+
 @given(st.integers(min_value=1, max_value=3000), st.randoms())
 @settings(max_examples=25, deadline=None)
 def test_large_random_vectors(length, rng):

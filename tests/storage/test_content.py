@@ -52,3 +52,51 @@ class TestContentStore:
         store = ContentStore()
         store.append("é", owner=0)
         assert store.size_bytes() >= 2
+
+
+def recomputed_size(store: ContentStore) -> int:
+    payload = sum(len(value.encode("utf-8")) for _, value, _ in store)
+    return payload + 4 * ((len(store) + 1) + len(store))
+
+
+class TestRunningSizeAccounting:
+    """``size_bytes()`` is kept as a running count; it must always equal
+    the sum recomputed from the stored values."""
+
+    VALUES = ["plain", "é", "日本語", "🙂 emoji", "", "mixed ü ascii"]
+
+    def make(self) -> ContentStore:
+        store = ContentStore()
+        for owner, value in enumerate(self.VALUES):
+            store.append(value, owner)
+        return store
+
+    def test_after_non_ascii_appends(self):
+        store = ContentStore()
+        assert store.size_bytes() == recomputed_size(store)
+        for owner, value in enumerate(self.VALUES):
+            store.append(value, owner)
+            assert store.size_bytes() == recomputed_size(store)
+
+    def test_after_mark_dead(self):
+        store = self.make()
+        store.mark_dead(1)
+        store.mark_dead(2)
+        assert store.size_bytes() == recomputed_size(store)
+
+    def test_after_clone(self):
+        store = self.make()
+        twin = store.clone()
+        twin.append("ñandú", 99)
+        assert twin.size_bytes() == recomputed_size(twin)
+        assert store.size_bytes() == recomputed_size(store)
+        assert twin.size_bytes() > store.size_bytes()
+
+    def test_after_snapshot_round_trip(self):
+        store = self.make()
+        store.mark_dead(3)
+        restored = ContentStore.from_snapshot(store.to_snapshot())
+        assert restored.size_bytes() == recomputed_size(restored)
+        assert restored.size_bytes() == store.size_bytes()
+        restored.append("über", 7)
+        assert restored.size_bytes() == recomputed_size(restored)

@@ -2,8 +2,11 @@
 content separation, updates, and size accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
+from repro.xml import model
 from repro.xml.parser import parse
 from repro.storage.succinct import (
     KIND_ATTRIBUTE,
@@ -258,3 +261,74 @@ class TestDeleteSubtree:
     def test_delete_tail_is_local(self, store):
         metrics = store.delete_subtree(13)  # the trailing PI
         assert metrics["shifted_entries"] == 0
+
+
+# -- spliced store == store built from scratch -------------------------------
+
+
+def succinct_order(document: model.Document) -> list[model.Node]:
+    """Model nodes in the store's pre-order: each element, then its
+    attributes, then its children."""
+    order: list[model.Node] = [document]
+
+    def walk(node):
+        order.append(node)
+        if isinstance(node, model.Element):
+            order.extend(node.attributes())
+            for child in node.children():
+                walk(child)
+
+    for child in document.children():
+        walk(child)
+    return order
+
+
+@st.composite
+def small_subtrees(draw, depth=0):
+    """An element with an optional attribute, at most one text child
+    (so no two texts ever become adjacent siblings) and optional
+    element children."""
+    element = model.Element(draw(st.sampled_from(
+        ["book", "title", "x", "note"])))
+    if draw(st.booleans()):
+        element.set_attribute("k", draw(st.text(min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        element.append_text(draw(st.text(min_size=1, max_size=6)))
+    if depth < 2:
+        for _ in range(draw(st.integers(0, 2))):
+            element.append(draw(small_subtrees(depth + 1)))
+    return element
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 10**6),
+                          st.integers(0, 10**6), small_subtrees()),
+                max_size=10))
+@settings(max_examples=80, deadline=None)
+def test_splices_match_fresh_build(operations):
+    document = parse(SAMPLE)
+    store = SuccinctDocument.from_document(document)
+    for is_insert, pick, slot, subtree in operations:
+        order = succinct_order(document)
+        if is_insert:
+            parents = [pre for pre, node in enumerate(order)
+                       if isinstance(node, (model.Element, model.Document))]
+            parent_pre = parents[pick % len(parents)]
+            parent = order[parent_pre]
+            position = slot % (len(parent) + 1)
+            store.insert_subtree(parent_pre, position, subtree)
+            parent.insert(position, subtree)
+        else:
+            victims = [pre for pre, node in enumerate(order)
+                       if pre and not isinstance(node, model.Attribute)]
+            if not victims:
+                continue
+            victim = victims[pick % len(victims)]
+            store.delete_subtree(victim)
+            order[victim].parent.remove(order[victim])
+        fresh = SuccinctDocument.from_document(document)
+        mine, theirs = store.to_snapshot(), fresh.to_snapshot()
+        assert mine["bp"] == theirs["bp"]
+        assert ([mine["symbols"][s] for s in mine["tags"]]
+                == [theirs["symbols"][s] for s in theirs["tags"]])
+        assert mine["kinds"] == theirs["kinds"]
+        assert store.columns()[2] == fresh.columns()[2]
