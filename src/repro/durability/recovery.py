@@ -3,13 +3,15 @@
 ``recover(manager, database)`` is what :meth:`Database.open` runs under
 the write lock before the database accepts queries:
 
-1. pick the newest snapshot generation whose file parses and passes
-   every section checksum; a corrupt newest generation falls back to
-   the previous one (``keep_generations`` retention exists exactly for
-   this), and *no* snapshot at all means an empty starting state;
-2. restore the chosen snapshot verbatim through
+1. pick the newest snapshot generation whose file parses, passes
+   every section checksum and restores; a corrupt newest generation
+   falls back to the previous one (``keep_generations`` retention
+   exists exactly for this), and *no* snapshot at all means an empty
+   starting state;
+2. the restore is verbatim, through
    :meth:`Database._restore_from_snapshot` — no XML parsing, no
-   ``rebuild_derived``;
+   ``rebuild_derived`` — and checks what checksums cannot (the
+   interval ``post`` column must equal ``end - level``);
 3. replay every WAL with generation >= the chosen snapshot in
    ascending order.  Each WAL is opened through
    :meth:`WriteAheadLog.open`, which truncates a torn tail frame, so a
@@ -55,10 +57,12 @@ def recover(manager, database) -> dict:
     generations = list_generations(directory)
     corrupt: list[int] = []
     chosen = None
-    state = None
     for generation in reversed(generations["snapshots"]):
         try:
             state = read_snapshot(snapshot_path(directory, generation))
+            # Restoring validates what the section CRCs cannot (e.g.
+            # the interval post column); it publishes only on success.
+            database._restore_from_snapshot(state)
         except SnapshotCorruptError:
             corrupt.append(generation)
             continue
@@ -76,8 +80,6 @@ def recover(manager, database) -> dict:
                 f"({sorted(corrupt)}) and the WAL history is "
                 f"incomplete: cannot recover")
 
-    if state is not None:
-        database._restore_from_snapshot(state)
     replay_from = chosen if chosen is not None else 0
 
     replayed = 0

@@ -156,39 +156,40 @@ def read_snapshot(source: Union[str, Path, bytes]) -> dict:
 def materialise_tree(interval, uri: str
                      ) -> tuple[model.Document, list]:
     """Model tree **and** storage node list from restored interval
-    records — the recovery fast path.
+    columns — the recovery fast path.
 
-    The interval records already carry everything the model needs
+    The interval columns already carry everything the model needs
     (kind, tag, value, parent) in exact storage pre-order, so one flat
-    loop attaches each node to its (already materialised) parent via
-    the bulk ``adopt`` constructors — no BP navigation, no per-node
-    accessor calls, no separate :func:`storage_node_list` walk.
-    Returns ``(document, node_list)`` where ``node_list[pre]`` is the
-    model node for storage pre-order id ``pre``.
+    loop over the zipped columns attaches each node to its (already
+    materialised) parent via the bulk ``adopt`` constructors — no BP
+    navigation, no per-node accessor calls, no separate
+    :func:`storage_node_list` walk.  Returns ``(document, node_list)``
+    where ``node_list[pre]`` is the model node for storage pre-order id
+    ``pre``.
     """
-    records = interval.nodes
-    if not records or records[0].kind != KIND_DOCUMENT:
+    kinds = interval.kinds
+    if not kinds or kinds[0] != KIND_DOCUMENT:
         raise SnapshotCorruptError(
-            "interval records do not start with a document node")
+            "interval columns do not start with a document node")
     document = model.Document(uri=uri)
     node_list: list = [document]
     attach = node_list.append
-    for record in records[1:]:
-        parent = node_list[record.parent]
-        kind = record.kind
+    for parent_pre, kind, tag, value in zip(
+            interval.parent[1:], kinds[1:], interval.tags[1:],
+            interval.values[1:]):
+        parent = node_list[parent_pre]
         if kind == KIND_ELEMENT:
-            node = model.Element(record.tag)
+            node = model.Element(tag)
             parent.adopt(node)
         elif kind == KIND_TEXT:
-            node = parent.adopt(model.Text(record.value or ""))
+            node = parent.adopt(model.Text(value or ""))
         elif kind == KIND_ATTRIBUTE:
-            node = parent.adopt_attribute(record.tag[1:],
-                                          record.value or "")
+            node = parent.adopt_attribute(tag[1:], value or "")
         elif kind == KIND_COMMENT:
-            node = parent.adopt(model.Comment(record.value or ""))
+            node = parent.adopt(model.Comment(value or ""))
         elif kind == KIND_PI:
             node = parent.adopt(model.ProcessingInstruction(
-                record.tag[1:], record.value or ""))
+                tag[1:], value or ""))
         else:
             raise SnapshotCorruptError(f"unknown node kind {kind}")
         attach(node)

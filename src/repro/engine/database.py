@@ -670,6 +670,8 @@ class Database:
                           uri: str) -> LoadedDocument:
         succinct = SuccinctDocument.from_document(tree)
         interval = IntervalDocument.from_document(tree)
+        # Simulated I/O segments are named by the stores' uri.
+        succinct.uri = interval.uri = uri
         tag_index = TagIndex(interval, pages=self.pages)
         statistics = DocumentStatistics(interval)
         value_index, numeric_index = self._build_value_indexes(succinct,
@@ -1467,10 +1469,8 @@ class Database:
         # Derived deltas that need pre-splice labels run first: the tag
         # index drops the doomed postings and the statistics retract the
         # subtree's contributions while every ``pre`` is still valid.
-        record = version.interval.node(preorder)
-        count = record.end - record.pre + 1
-        doomed_records = version.interval.nodes[preorder:record.end + 1]
-        version.tag_index.apply_delete(doomed_records)
+        count = version.interval.end[preorder] - preorder + 1
+        version.tag_index.apply_delete(preorder, count)
         version.statistics.apply_delete(version.interval, preorder)
         doomed_content = version.succinct.content_ids_in(preorder, count)
 
@@ -1519,12 +1519,12 @@ class Database:
     def _clone_version(self, base: DocumentVersion) -> DocumentVersion:
         """An independent successor of ``base`` for a writer to splice.
 
-        Primary stores are cloned (succinct column copies; fresh
-        interval records — updates relabel them in place); derived
-        structures are rebuilt from their snapshot forms (the same
-        restore constructors recovery uses, so no index is recomputed
-        from scratch); the model tree is re-materialised from the
-        cloned interval store.  Immutable leaves (strings, the
+        Primary stores are cloned (succinct and interval column copies
+        — updates splice them in place); derived structures are rebuilt
+        from their snapshot forms (the same restore constructors
+        recovery uses, so no index is recomputed from scratch); the
+        model tree is re-materialised from the cloned interval
+        columns.  Immutable leaves (strings, the
         balanced-parens directory) stay shared.  The clone starts with
         a fresh strategy memo — its statistics generation carries over,
         so hot patterns re-memoize after one cost-model pass.
@@ -1532,9 +1532,7 @@ class Database:
         uri = base.uri
         succinct = base.succinct.clone()
         interval = base.interval.clone()
-        tag_index = TagIndex.restore(
-            interval, base.tag_index.postings_snapshot(),
-            pages=self.pages)
+        tag_index = base.tag_index.clone(interval)
         statistics = DocumentStatistics.from_snapshot(
             base.statistics.to_snapshot())
         value_index = ContentIndex.restore(
@@ -1567,11 +1565,10 @@ class Database:
                              subtree: model.Element, insert_pre: int,
                              count: int, content_appended: int) -> None:
         """Absorb one inserted subtree into every derived structure."""
-        records = document.interval.nodes[insert_pre:insert_pre + count]
-        document.tag_index.apply_insert(records)
+        document.tag_index.apply_insert(insert_pre, count)
         document.statistics.apply_insert(document.interval, insert_pre,
                                          count)
-        document.statistics.finalize_update(document.interval)
+        document.statistics.finalize_update()
         # The content heap is append-only: the new leaf values are
         # exactly the last ``content_appended`` ids.
         total = len(document.succinct.content)
@@ -1587,7 +1584,7 @@ class Database:
                              doomed_content: list[int]) -> None:
         """Absorb one deleted subtree into every derived structure
         (tag index + statistics already retracted pre-splice)."""
-        document.statistics.finalize_update(document.interval)
+        document.statistics.finalize_update()
         document.value_index.drop_content(doomed_content)
         document.numeric_index.drop_content(doomed_content)
         apply_delete_mapping(document.node_list, document.preorder_map,

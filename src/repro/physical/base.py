@@ -94,8 +94,11 @@ class MatchRuntime:
         self._columns_lock = threading.Lock()
         self.column_builds = 0
         if pages is not None:
-            self.structure_segment = pages.segment("succinct:structure")
-            self.dom_segment = pages.segment("dom:records")
+            # Segments are per document: another document's update must
+            # not resize this one's extents.
+            self.structure_segment = pages.segment(
+                f"succinct:structure:{succinct.uri}")
+            self.dom_segment = pages.segment(f"dom:records:{succinct.uri}")
             self.refresh_segments()
         else:
             self.structure_segment = None
@@ -128,9 +131,10 @@ class MatchRuntime:
     def columnar_view(self) -> ColumnarView:
         """The shared label-column view of this document state.
 
-        Built on first use (one pass over the interval records) and
-        reused by every subsequent columnar execution; concurrent
-        readers racing on a cold view build it once under the lock.
+        Built on first use (an O(1) wrapper around the interval store's
+        columns and the tag index's arrays) and reused by every
+        subsequent columnar execution; concurrent readers racing on a
+        cold view build it once under the lock.
         Under MVCC each :class:`DocumentVersion` owns its runtime, so
         a view is a pure function of that version's frozen labels and
         is shared by exactly the readers pinned on it; updates build a
@@ -141,9 +145,7 @@ class MatchRuntime:
             return view
         with self._columns_lock:
             if self._columns is None:
-                self._columns = ColumnarView(
-                    self.interval, self.tag_index,
-                    kinds=getattr(self.succinct, "_kinds", None))
+                self._columns = ColumnarView(self.interval, self.tag_index)
                 self.column_builds += 1
             return self._columns
 
@@ -184,18 +186,7 @@ class MatchRuntime:
 
     def pre_end(self, preorder: int) -> tuple[int, int]:
         """(pre, end) interval of the stored node."""
-        record = self.interval.node(preorder)
-        return record.pre, record.end
-
-    def is_descendant(self, ancestor: int, descendant: int) -> bool:
-        record = self.interval.node(ancestor)
-        return record.pre < descendant <= record.end
-
-    def is_following_sibling(self, left: int, right: int) -> bool:
-        left_record = self.interval.node(left)
-        right_record = self.interval.node(right)
-        return (left_record.parent == right_record.parent
-                and left_record.pre < right_record.pre)
+        return preorder, self.interval.end[preorder]
 
     # -- I/O charging -----------------------------------------------------------------
 

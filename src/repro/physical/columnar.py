@@ -173,7 +173,7 @@ class ColumnarMatcher:
             vertex.labels is not None or vertex.kind == "text")
         if charge:
             for tag in matched:
-                runtime.charge_postings(tag)
+                runtime.tag_index.pres(tag, charge=True)
         if len(matched) == 1:
             return view.tag_pres(matched[0])
         combined = array("q")

@@ -215,14 +215,14 @@ class PartitionedMatcher:
     def _sibling_candidates(self, runtime: MatchRuntime, anchor: int,
                             right_sorted: list[dict], right_keys: list[int],
                             root_original: int) -> list[dict]:
-        parent = runtime.interval.node(anchor).parent
+        parents = runtime.interval.parent
+        parent = parents[anchor]
         if parent < 0:
             return []
-        parent_record = runtime.interval.node(parent)
         low = bisect_right(right_keys, anchor)
-        high = bisect_right(right_keys, parent_record.end)
+        high = bisect_right(right_keys, runtime.interval.end[parent])
         return [t for t in right_sorted[low:high]
-                if runtime.interval.node(t[root_original]).parent == parent]
+                if parents[t[root_original]] == parent]
 
     def _partition_root_original(self, partition: Partition) -> int:
         return self._root_original[partition.index]

@@ -221,7 +221,7 @@ class BinaryJoinMatcher:
             if vertex.kind == "text":
                 return runtime.charge_postings("#text")
             # Wildcard: the union of all postings (a full scan).
-            everything = list(runtime.interval.nodes)
+            everything = runtime.interval.nodes
             if vertex.kind == "attribute":
                 # @*: every attribute record.
                 return [r for r in everything

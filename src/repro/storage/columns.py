@@ -11,18 +11,19 @@ pre-order id ``p``,
 * ``level[p]``  — depth (document node = 0),
 * ``parent[p]`` — pre id of the parent (-1 for the document node),
 
-plus, per tag, the sorted array of pre ids carrying that tag (the
-posting list reduced to its key column).
+plus, per tag, the sorted array of pre ids carrying that tag (the tag
+index's posting list).
 
 Columns are flat :class:`array.array` typed arrays: contiguous machine
 integers, so ``bisect`` probes, slicing, and set/comprehension sweeps
-run at C speed with no per-node object dispatch.  A view is extracted
-once per document state and then shared by every query; in-place
-structural updates invalidate it through the owning
-:class:`~repro.physical.base.MatchRuntime` (which rebuilds lazily on
-the next columnar execution).  Tag and kind key arrays are materialised
-lazily per requested tag/kind and memoized, so a view never pays for
-columns no query asks for.
+run at C speed with no per-node object dispatch.  A view *wraps* the
+interval store's and tag index's arrays rather than copying them, so
+building one is O(1).  Sharing is safe because a published document
+version is never mutated (updates splice a copy-on-write successor);
+a writer that splices a private successor in place drops that
+runtime's view through :class:`~repro.physical.base.MatchRuntime`.
+Kind key arrays are materialised lazily per requested kind and
+memoized.
 """
 
 from __future__ import annotations
@@ -39,43 +40,23 @@ __all__ = ["ColumnarView"]
 class ColumnarView:
     """Read-only label columns over one document state.
 
-    ``end``/``level``/``parent`` are built eagerly (one pass over the
-    interval records); per-tag and per-kind pre-id arrays come from
-    :meth:`tag_pres` / :meth:`kind_pres` on demand and are cached for
-    the lifetime of the view.  A view is immutable: updates replace it
-    (see ``MatchRuntime.columnar_view``), they never patch it.
+    ``end``/``level``/``parent`` and the kind bytes are the interval
+    store's own columns; per-tag pre arrays are the tag index's; per-kind
+    pre arrays come from :meth:`kind_pres` on demand and are cached for
+    the lifetime of the view.
     """
 
     __slots__ = ("end", "level", "parent", "node_count", "_tag_index",
-                 "_tag_pres", "_kind_pres", "_kinds")
+                 "_kind_pres", "_kinds")
 
     def __init__(self, interval: IntervalDocument, tag_index,
                  kinds: Optional[bytes] = None):
-        nodes = interval.nodes
-        self.node_count = len(nodes)
-        # One pass, three appends per node — this is the whole
-        # extraction cost a generation pays.
-        end = array("q")
-        level = array("q")
-        parent = array("q")
-        end.extend(record.end for record in nodes)
-        level.extend(record.level for record in nodes)
-        parent.extend(record.parent for record in nodes)
-        self.end = end
-        self.level = level
-        self.parent = parent
+        self.node_count = len(interval)
+        self.end = interval.end
+        self.level = interval.level
+        self.parent = interval.parent
         self._tag_index = tag_index
-        if kinds is None:
-            # No succinct kind column supplied (e.g. a view built
-            # straight over interval records in tests, or a storage
-            # backend without one): derive it from the records rather
-            # than keeping ``None`` — a ``None`` column used to make
-            # ``kind_pres`` cache an *empty* array, so wildcard/kind
-            # vertices silently matched zero rows instead of erroring
-            # or falling back.
-            kinds = bytes(record.kind for record in nodes)
-        self._kinds = kinds  # pre-order kind bytes (shared, not copied)
-        self._tag_pres: dict[str, array] = {}
+        self._kinds = interval.kinds if kinds is None else kinds
         self._kind_pres: dict[int, array] = {}
 
     # -- key columns -------------------------------------------------------------
@@ -85,28 +66,12 @@ class ColumnarView:
         return self._tag_index.tags()
 
     def tag_pres(self, tag: str) -> array:
-        """Sorted pre ids of the nodes tagged ``tag`` (possibly empty).
-
-        Extracted from the tag index's posting list once, then cached;
-        the posting records themselves are never touched again by the
-        columnar kernels.
-        """
-        pres = self._tag_pres.get(tag)
-        if pres is None:
-            pres = array("q")
-            pres.extend(record.pre for record in
-                        self._tag_index.postings(tag, charge=False))
-            self._tag_pres[tag] = pres
-        return pres
+        """Sorted pre ids of the nodes tagged ``tag`` (possibly empty) —
+        the tag index's array itself, not a copy."""
+        return self._tag_index.pres(tag)
 
     def kind_pres(self, kind: int) -> array:
-        """Sorted pre ids of every node of ``kind`` (wildcard vertices).
-
-        The kind column is always populated (``__init__`` derives it
-        from the interval records when the caller has none), so an
-        empty result here genuinely means "no nodes of that kind" —
-        never "column missing".
-        """
+        """Sorted pre ids of every node of ``kind`` (wildcard vertices)."""
         pres = self._kind_pres.get(kind)
         if pres is None:
             pres = array("q")
@@ -127,13 +92,12 @@ class ColumnarView:
     # -- accounting --------------------------------------------------------------
 
     def size_bytes(self) -> int:
-        """Resident bytes of the materialised columns (8 bytes per
-        entry for the ``array('q')`` columns)."""
+        """Bytes of the label columns the view exposes (8 bytes per
+        entry of each ``array('q')``) plus its own kind arrays."""
         resident = 8 * (len(self.end) + len(self.level) + len(self.parent))
-        resident += sum(8 * len(a) for a in self._tag_pres.values())
         resident += sum(8 * len(a) for a in self._kind_pres.values())
         return resident
 
     def __repr__(self) -> str:
         return (f"<ColumnarView nodes={self.node_count} "
-                f"tags_cached={len(self._tag_pres)}>")
+                f"kinds_cached={len(self._kind_pres)}>")

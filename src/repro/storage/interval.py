@@ -5,12 +5,18 @@ approach, which is "heavily dependent on the physical level representation
 (e.g., interval encoding [1]) of XML data" and whose shredding "store[s]
 them without considering their structural relationships" (Section 4.1).
 
-:class:`IntervalDocument` shreds a document into one record per node with
-the classic *(pre, post, level, parent)* labels.  Structural predicates
-become label arithmetic::
+:class:`IntervalDocument` shreds a document into the classic
+*(pre, post, level, parent)* labels, kept as columns indexed by pre id:
+``end``, ``level`` and ``parent`` (``array('q')``), ``tags``, ``kinds``
+and ``values``.  ``pre`` is the position and ``post`` is ``end - level``
+(true of any ordered tree).  Structural predicates become label
+arithmetic::
 
     a is an ancestor of d   iff   a.pre < d.pre  and  d.post < a.post
     p is the parent of c    iff   ancestor and p.level + 1 == c.level
+
+:class:`IntervalNode` records are read-only tuples built on demand for
+the join baselines and tests.
 
 Pre-order ids are assigned identically to
 :class:`~repro.storage.succinct.SuccinctDocument` (document node 0,
@@ -24,10 +30,13 @@ and every ancestor's *post* — Θ(n) in the worst case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+import sys
+from array import array
+from functools import partial
+from operator import sub
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from repro.errors import StorageError
+from repro.errors import SnapshotCorruptError, StorageError
 from repro.xml import model
 from repro.xml.events import (
     Characters,
@@ -52,12 +61,11 @@ from repro.storage.succinct import (
     TEXT_TAG,
 )
 
-__all__ = ["IntervalNode", "IntervalDocument"]
+__all__ = ["IntervalNode", "IntervalDocument", "shifted"]
 
 
-@dataclass
-class IntervalNode:
-    """One shredded node record.
+class IntervalNode(NamedTuple):
+    """One node's labels as a read-only record.
 
     ``pre`` and ``end`` delimit the subtree in pre-order positions
     (``end`` is the pre id of the last descendant — the interval encoding
@@ -83,12 +91,38 @@ class IntervalNode:
         return self.contains(other) and self.level + 1 == other.level
 
 
+_record = partial(tuple.__new__, IntervalNode)
+_ONE = array("q", [1])
+
+
+def shifted(values: array, delta: int) -> array:
+    """A copy of the ``array('q')`` ``values`` with ``delta`` added to
+    every entry, at C speed: the packed entries are read as one integer
+    and ``delta`` times a 1-in-every-64-bit-lane integer is added.  Every
+    entry must be non-negative before and after, so no lane carries
+    into (or borrows from) its neighbour."""
+    if not values or not delta:
+        return values[:]
+    order = sys.byteorder
+    lanes = int.from_bytes(values.tobytes(), order)
+    lanes += delta * int.from_bytes((_ONE * len(values)).tobytes(), order)
+    result = array("q")
+    result.frombytes(lanes.to_bytes(8 * len(values), order))
+    return result
+
+
 class IntervalDocument:
-    """A pre/post/level shredded document (records in pre order)."""
+    """A pre/post/level shredded document stored as label columns."""
 
     def __init__(self):
-        self.nodes: list[IntervalNode] = []
+        self.end = array("q")       # pre id of the last descendant
+        self.level = array("q")     # depth; the document node is 0
+        self.parent = array("q")    # parent pre id; -1 for the document
+        self.tags: list[str] = []
+        self.kinds = bytearray()
+        self.values: list[Optional[str]] = []
         self.uri = ""
+        self._nodes: Optional[list[IntervalNode]] = None
 
     # -- construction -----------------------------------------------------------
 
@@ -96,40 +130,36 @@ class IntervalDocument:
     def from_events(cls, events: Iterable[Event]) -> "IntervalDocument":
         """Single-pass shredding of a parse-event stream."""
         document = cls()
-        nodes = document.nodes
-        post_counter = 0
+        end, level, parent = document.end, document.level, document.parent
+        tags, kinds, values = document.tags, document.kinds, document.values
         stack: list[int] = []      # open node pre ids
         pending_text: list[str] = []
 
         def open_node(tag: str, kind: int,
                       value: Optional[str] = None) -> int:
-            pre = len(nodes)
-            parent = stack[-1] if stack else -1
-            nodes.append(IntervalNode(pre=pre, post=-1, end=-1,
-                                      level=len(stack), parent=parent,
-                                      tag=tag, kind=kind, value=value))
+            pre = len(tags)
+            end.append(pre)        # a leaf until its element closes
+            level.append(len(stack))
+            parent.append(stack[-1] if stack else -1)
+            tags.append(tag)
+            kinds.append(kind)
+            values.append(value)
             return pre
 
         def close_node(pre: int) -> None:
-            nonlocal post_counter
-            nodes[pre].post = post_counter
-            nodes[pre].end = len(nodes) - 1
-            post_counter += 1
+            end[pre] = len(tags) - 1
 
         def flush_text() -> None:
             if pending_text:
-                pre = open_node(TEXT_TAG, KIND_TEXT, "".join(pending_text))
-                close_node(pre)
+                open_node(TEXT_TAG, KIND_TEXT, "".join(pending_text))
                 pending_text.clear()
 
         for event in events:
             if isinstance(event, StartElement):
                 flush_text()
-                pre = open_node(event.tag, KIND_ELEMENT)
-                stack.append(pre)
+                stack.append(open_node(event.tag, KIND_ELEMENT))
                 for name, value in event.attributes:
-                    attr = open_node("@" + name, KIND_ATTRIBUTE, value)
-                    close_node(attr)
+                    open_node("@" + name, KIND_ATTRIBUTE, value)
             elif isinstance(event, EndElement):
                 flush_text()
                 close_node(stack.pop())
@@ -137,11 +167,10 @@ class IntervalDocument:
                 pending_text.append(event.value)
             elif isinstance(event, CommentEvent):
                 flush_text()
-                close_node(open_node(COMMENT_TAG, KIND_COMMENT, event.value))
+                open_node(COMMENT_TAG, KIND_COMMENT, event.value)
             elif isinstance(event, PIEvent):
                 flush_text()
-                close_node(open_node("?" + event.target, KIND_PI,
-                                     event.data))
+                open_node("?" + event.target, KIND_PI, event.data)
             elif isinstance(event, StartDocument):
                 document.uri = event.uri
                 stack.append(open_node(DOCUMENT_TAG, KIND_DOCUMENT))
@@ -158,46 +187,69 @@ class IntervalDocument:
     # -- access -------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.tags)
+
+    def _check(self, pre: int) -> None:
+        if pre < 0 or pre >= len(self.tags):
+            raise StorageError(f"no node with pre-order id {pre}")
 
     def node(self, pre: int) -> IntervalNode:
-        """The record with pre-order id ``pre``."""
-        if pre < 0 or pre >= len(self.nodes):
-            raise StorageError(f"no node with pre-order id {pre}")
-        return self.nodes[pre]
+        """The record of pre-order id ``pre``, built from the columns."""
+        self._check(pre)
+        end, level = self.end[pre], self.level[pre]
+        return _record((pre, end - level, end, level, self.parent[pre],
+                        self.tags[pre], self.kinds[pre], self.values[pre]))
+
+    def records(self, pres: Iterable[int]) -> list[IntervalNode]:
+        """Records of the given pre ids, in the given order (one
+        C-level gather per column, no per-node Python frame)."""
+        pres = list(pres)
+        ends = list(map(self.end.__getitem__, pres))
+        levels = list(map(self.level.__getitem__, pres))
+        return list(map(_record, zip(
+            pres, map(sub, ends, levels), ends, levels,
+            map(self.parent.__getitem__, pres),
+            map(self.tags.__getitem__, pres),
+            map(self.kinds.__getitem__, pres),
+            map(self.values.__getitem__, pres))))
+
+    @property
+    def nodes(self) -> list[IntervalNode]:
+        """Every node as a record, in pre order; cached until the next
+        splice."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._nodes = self.records(range(len(self.tags)))
+        return nodes
 
     def by_tag(self, tag: str) -> list[IntervalNode]:
         """All records with the given tag, in document (pre) order —
         the input lists structural-join algorithms consume."""
-        return [record for record in self.nodes if record.tag == tag]
+        return self.records(pre for pre, name in enumerate(self.tags)
+                            if name == tag)
 
-    def elements(self, tag: Optional[str] = None) -> list[IntervalNode]:
-        """Element records, optionally restricted to one tag."""
-        return [record for record in self.nodes
-                if record.kind == KIND_ELEMENT
-                and (tag is None or record.tag == tag)]
+    def _child_pres(self, pre: int) -> Iterator[int]:
+        """Child pre ids in document order (skips to each child's end)."""
+        end = self.end
+        child, stop = pre + 1, end[pre]
+        while child <= stop:
+            yield child
+            child = end[child] + 1
 
     def children_of(self, pre: int) -> Iterator[IntervalNode]:
-        """Child records in document order (skips to each child's end)."""
-        end = self.node(pre).end
-        index = pre + 1
-        while index <= end:
-            record = self.nodes[index]
-            if record.parent == pre:
-                yield record
-            index = record.end + 1 if record.parent == pre else index + 1
+        """Child records in document order."""
+        self._check(pre)
+        return iter(self.records(self._child_pres(pre)))
 
     def string_value(self, pre: int) -> str:
         """Concatenated text content of the subtree at ``pre``."""
-        record = self.node(pre)
-        if record.kind not in (KIND_ELEMENT, KIND_DOCUMENT):
-            return record.value or ""
-        parts: list[str] = []
-        for index in range(pre + 1, record.end + 1):
-            inner = self.nodes[index]
-            if inner.kind == KIND_TEXT:
-                parts.append(inner.value or "")
-        return "".join(parts)
+        self._check(pre)
+        kinds, values = self.kinds, self.values
+        if kinds[pre] not in (KIND_ELEMENT, KIND_DOCUMENT):
+            return values[pre] or ""
+        return "".join(values[index] or ""
+                       for index in range(pre + 1, self.end[pre] + 1)
+                       if kinds[index] == KIND_TEXT)
 
     # -- updates (experiment E7) -----------------------------------------------------
 
@@ -205,127 +257,94 @@ class IntervalDocument:
                        subtree: model.Element) -> dict[str, int]:
         """Insert ``subtree`` as the ``position``-th element/text child of
         ``parent`` and relabel.  Returns ``{"relabelled": n, ...}`` — the
-        cost interval encoding pays that the succinct splice avoids."""
-        target = self.node(parent)
-        if target.kind not in (KIND_ELEMENT, KIND_DOCUMENT):
+        cost interval encoding pays that the succinct splice avoids:
+        every node at or after the splice point plus every ancestor."""
+        self._check(parent)
+        if self.kinds[parent] not in (KIND_ELEMENT, KIND_DOCUMENT):
             raise StorageError("can only insert under an element")
-        children = [record for record in self.children_of(parent)
-                    if record.kind != KIND_ATTRIBUTE]
+        children = [child for child in self._child_pres(parent)
+                    if self.kinds[child] != KIND_ATTRIBUTE]
         if position < 0 or position > len(children):
             raise StorageError(f"child position {position} out of range")
+        at = (children[position] if position < len(children)
+              else self.end[parent] + 1)
 
-        # Shred the new subtree (standalone labels, patched below).
+        # Shred the new subtree standalone, then rebase its labels: the
+        # fragment's document node (pre 0, level 0) becomes ``parent``.
         fragment = IntervalDocument.from_events(
             events_from_tree(_wrap(subtree)))
-        new_records = fragment.nodes[1:]   # drop the fragment document node
-        for record in new_records:
-            record.parent -= 1
-            record.level -= 1
-        inserted = len(new_records)
-
-        if position == len(children):
-            insert_pre = target.pre + _subtree_span(self, target)
-        else:
-            insert_pre = children[position].pre
-        # The smallest post rank that must shift: the parent closes after
-        # the new subtree, as does everything at or after insert_pre.
-        insert_post = min((record.post for record in self.nodes
-                           if record.pre >= insert_pre),
-                          default=target.post)
-        insert_post = min(insert_post, target.post)
-
-        relabelled = 0
-        for record in self.nodes:
-            changed = False
-            if record.pre >= insert_pre:
-                record.pre += inserted
-                changed = True
-            if record.post >= insert_post:
-                record.post += inserted
-                changed = True
-            if record.end >= insert_pre:
-                # Subtree starts at or after the splice: whole interval moves.
-                record.end += inserted
-                changed = True
-            elif record.post >= insert_post:
-                # Node is still open at the splice point (an ancestor of
-                # the insertion): its subtree grows to cover the new nodes.
-                record.end += inserted
-                changed = True
-            if record.parent >= insert_pre:
-                record.parent += inserted
-                changed = True
-            if changed:
-                relabelled += 1
-
-        base_level = target.level + 1
-        for offset, record in enumerate(new_records):
-            record.pre = insert_pre + offset
-            record.post += insert_post
-            record.end = record.end - 1 + insert_pre
-            record.level += base_level
-            if record.parent < 0:
-                record.parent = target.pre
-            else:
-                record.parent += insert_pre
-        self.nodes[insert_pre:insert_pre] = new_records
-        return {"relabelled": relabelled, "inserted_nodes": inserted,
-                "inserted_at": insert_pre}
+        block = IntervalDocument()
+        block.end = shifted(fragment.end[1:], at - 1)
+        block.level = shifted(fragment.level[1:], self.level[parent])
+        block.parent = array("q", [pre + at - 1 if pre else parent
+                                   for pre in fragment.parent[1:]])
+        block.tags = fragment.tags[1:]
+        block.kinds = fragment.kinds[1:]
+        block.values = fragment.values[1:]
+        relabelled = self._splice(parent, at, at, block)
+        return {"relabelled": relabelled, "inserted_nodes": len(block),
+                "inserted_at": at}
 
     def delete_subtree(self, pre: int) -> dict[str, int]:
         """Remove the subtree at ``pre`` and relabel everything after it
         plus every ancestor (the global cost insertions also pay)."""
-        import bisect
-
-        record = self.node(pre)
+        self._check(pre)
         if pre == 0:
             raise StorageError("cannot delete the document node")
-        removed = record.end - record.pre + 1
-        removed_posts = sorted(r.post
-                               for r in self.nodes[pre:record.end + 1])
-        del self.nodes[pre:record.end + 1]
+        stop = self.end[pre] + 1
+        relabelled = self._splice(self.parent[pre], pre, stop,
+                                  IntervalDocument())
+        return {"removed_nodes": stop - pre, "relabelled": relabelled}
 
-        relabelled = 0
-        for survivor in self.nodes:
-            changed = False
-            if survivor.pre >= pre:
-                survivor.pre -= removed
-                changed = True
-            if survivor.end >= pre:
-                survivor.end -= removed
-                changed = True
-            post_shift = bisect.bisect_left(removed_posts, survivor.post)
-            if post_shift:
-                survivor.post -= post_shift
-                changed = True
-            if survivor.parent >= pre:
-                survivor.parent -= removed
-                changed = True
-            if changed:
-                relabelled += 1
-        return {"removed_nodes": removed, "relabelled": relabelled}
+    def _splice(self, parent: int, start: int, stop: int,
+                block: "IntervalDocument") -> int:
+        """Replace ``[start, stop)`` under ``parent`` (one whole subtree,
+        or nothing) by the already relabelled ``block``.  The suffix and
+        the ``end`` of ``parent`` and its ancestors shift by the size
+        change; so do suffix ``parent`` entries, except those of the
+        later children of ``parent`` and of its ancestors, which are set
+        aside around the shift.  Returns the survivors relabelled."""
+        delta = len(block) - (stop - start)
+        end, parents = self.end, self.parent
+        exterior: list[int] = []
+        ancestors = 0
+        node, child = parent, stop
+        while node >= 0:
+            while child <= end[node]:
+                exterior.append(child)
+                child = end[child] + 1
+            child = end[node] + 1
+            end[node] += delta
+            ancestors += 1
+            node = parents[node]
+        saved = list(map(parents.__getitem__, exterior))
+        for pre in exterior:
+            parents[pre] = stop      # stays >= 0 through the shift
+        end[start:] = block.end + shifted(end[stop:], delta)
+        parents[start:] = block.parent + shifted(parents[stop:], delta)
+        for pre, value in zip(exterior, saved):
+            parents[pre + delta] = value
+        self.level[start:stop] = block.level
+        self.tags[start:stop] = block.tags
+        self.kinds[start:stop] = block.kinds
+        self.values[start:stop] = block.values
+        self._nodes = None
+        return len(self.tags) - start - len(block) + ancestors
 
     # -- versioning ------------------------------------------------------------------
 
     def clone(self) -> "IntervalDocument":
-        """A record-deep copy for copy-on-write versioning.
-
-        ``insert_subtree``/``delete_subtree`` relabel records *in
-        place*, so the new version must own fresh :class:`IntervalNode`
-        objects — sharing them would show torn pre/post/end labels to
-        readers pinned on the old version.  Records are materialised via
-        ``__new__`` + a dict copy (the same fast path as
-        :meth:`from_snapshot`).
-        """
+        """An independent copy for copy-on-write versioning: six column
+        copies, no per-node objects.  Splices mutate the columns in
+        place, so the new version must own its own."""
         twin = IntervalDocument()
         twin.uri = self.uri
-        new = IntervalNode.__new__
-        node_cls = IntervalNode
-        append = twin.nodes.append
-        for record in self.nodes:
-            copy = new(node_cls)
-            copy.__dict__ = dict(record.__dict__)
-            append(copy)
+        twin.end = self.end[:]
+        twin.level = self.level[:]
+        twin.parent = self.parent[:]
+        twin.tags = self.tags[:]
+        twin.kinds = self.kinds[:]
+        twin.values = self.values[:]
         return twin
 
     # -- serialization ---------------------------------------------------------------
@@ -333,55 +352,45 @@ class IntervalDocument:
     def to_snapshot(self) -> dict:
         """Plain-data state for the durability layer.
 
-        Only the label columns (post, end, level, parent) are stored:
-        ``pre`` is the record's position, and tags / kinds / values are
-        shared with the succinct store (identical pre-order numbering),
-        so they are reconstructed from it at load time instead of being
-        written twice.
+        The label columns (post, end, level, parent) are stored: ``pre``
+        is the position, and tags / kinds / values are shared with the
+        succinct store (identical pre-order numbering), so they are
+        reconstructed from it at load time instead of being written
+        twice.  ``post`` is redundant (``end - level``) and is checked
+        on restore.
         """
         return {
             "uri": self.uri,
-            "post": [record.post for record in self.nodes],
-            "end": [record.end for record in self.nodes],
-            "level": [record.level for record in self.nodes],
-            "parent": [record.parent for record in self.nodes],
+            "post": list(map(sub, self.end, self.level)),
+            "end": self.end.tolist(),
+            "level": self.level.tolist(),
+            "parent": self.parent.tolist(),
         }
 
     @classmethod
     def from_snapshot(cls, state: dict,
                       succinct) -> "IntervalDocument":
-        """Rebuild the shredded records verbatim, resolving tags, kinds
-        and leaf values through the (already restored) succinct store."""
+        """Rebuild the columns verbatim, resolving tags, kinds and leaf
+        values through the (already restored) succinct store.  Raises
+        :class:`SnapshotCorruptError` when the stored ``post`` column
+        disagrees with ``end - level``."""
         document = cls()
         document.uri = state["uri"]
-        posts, ends = state["post"], state["end"]
-        levels, parents = state["level"], state["parent"]
-        count = len(posts)
+        document.end = array("q", state["end"])
+        document.level = array("q", state["level"])
+        document.parent = array("q", state["parent"])
+        count = len(document.end)
         if count != succinct.node_count:
             raise StorageError(
                 f"interval snapshot has {count} records but the succinct "
                 f"store holds {succinct.node_count} nodes")
-        # Batch columns: only content-bearing kinds appear in ``values``
-        # (attributes, text, comments, PIs), so a plain .get() resolves
-        # each record's value without per-node kind dispatch.  Records
-        # are materialised through ``__new__`` + one dict-literal
-        # assignment rather than the dataclass ``__init__`` — identical
-        # state, but the restore loop is the cold-open hot spot and a
-        # C-level dict build beats eight keyword arguments per node.
+        if state["post"] != list(map(sub, document.end, document.level)):
+            raise SnapshotCorruptError(
+                "interval snapshot post column disagrees with end - level")
         tags, kinds, values = succinct.columns()
-        nodes = document.nodes
-        append = nodes.append
-        value_get = values.get
-        new = IntervalNode.__new__
-        node_cls = IntervalNode
-        for pre in range(count):
-            record = new(node_cls)
-            record.__dict__ = {
-                "pre": pre, "post": posts[pre], "end": ends[pre],
-                "level": levels[pre], "parent": parents[pre],
-                "tag": tags[pre], "kind": kinds[pre],
-                "value": value_get(pre)}
-            append(record)
+        document.tags = tags
+        document.kinds = bytearray(kinds)
+        document.values = list(map(values.get, range(count)))
         return document
 
     # -- accounting -----------------------------------------------------------------
@@ -391,11 +400,10 @@ class IntervalDocument:
         parent as 4-byte integers, level 2 bytes, tag id 2 bytes, a 4-byte
         value reference, plus the value heap and the tag dictionary."""
         per_record = 4 + 4 + 4 + 2 + 2 + 4
-        records = per_record * len(self.nodes)
-        values = sum(len((record.value or "").encode("utf-8"))
-                     for record in self.nodes)
-        tags = sum(len(tag.encode("utf-8")) + 1
-                   for tag in {record.tag for record in self.nodes})
+        records = per_record * len(self.tags)
+        values = sum(len(value.encode("utf-8"))
+                     for value in self.values if value)
+        tags = sum(len(tag.encode("utf-8")) + 1 for tag in set(self.tags))
         return {
             "records": records,
             "values": values,
@@ -404,7 +412,7 @@ class IntervalDocument:
         }
 
     def __repr__(self) -> str:
-        return f"<IntervalDocument nodes={len(self.nodes)}>"
+        return f"<IntervalDocument nodes={len(self.tags)}>"
 
 
 def _wrap(element: model.Element) -> model.Document:
@@ -413,8 +421,3 @@ def _wrap(element: model.Element) -> model.Document:
     document = model.Document()
     document.append(copy.deepcopy(element))
     return document
-
-
-def _subtree_span(document: IntervalDocument, record: IntervalNode) -> int:
-    """Number of records in the subtree rooted at ``record``."""
-    return record.end - record.pre + 1

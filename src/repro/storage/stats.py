@@ -21,13 +21,10 @@ Structural updates call :meth:`apply_insert` / :meth:`apply_delete` with
 the affected contiguous pre-order block; every counter is adjusted by a
 local delta (O(subtree · depth)) instead of a full rebuild.  Value
 multiplicities are true multisets (Counters), so deleting the last node
-holding a value correctly drops it from the distinct count.  Two fields
-need a look at the whole document and are refreshed by
-:meth:`finalize_update` with one cheap linear pass: ``max_depth``
-(re-derived from the exact depth histogram) and
-``fragmented_value_tags`` (a prefix-sum pass over text nodes — a stale
-*missing* entry would make index-scan silently lossy, so this stays
-exact).
+holding a value correctly drops it from the distinct count.
+``fragmented_value_tags`` comes from per-tag counts that a splice
+adjusts for the block and its exterior ancestors only; it stays exact
+(a stale *missing* entry would make index-scan silently lossy).
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from repro.storage.interval import IntervalDocument, IntervalNode
+from repro.storage.interval import IntervalDocument
 from repro.storage.succinct import KIND_ATTRIBUTE, KIND_ELEMENT, KIND_TEXT
 
 __all__ = ["DocumentStatistics"]
@@ -46,7 +43,7 @@ class DocumentStatistics:
     local deltas under structural updates."""
 
     def __init__(self, document: IntervalDocument):
-        self.node_count = len(document.nodes)
+        self.node_count = len(document)
         self.tag_counts: Counter[str] = Counter()
         self.edge_counts: Counter[tuple[str, str]] = Counter()
         self.descendant_counts: Counter[tuple[str, str]] = Counter()
@@ -57,49 +54,50 @@ class DocumentStatistics:
         # Tags of elements whose subtree holds >= 2 text runs: their
         # string value is fragmented across content-store entries, so a
         # content-index equality probe cannot find them (index-scan must
-        # not be chosen for such tags).
+        # not be chosen for such tags).  ``_fragmented`` counts them
+        # per tag (None: restored from a checkpoint without counts).
+        self._fragmented: Optional[Counter[str]] = Counter()
         self.fragmented_value_tags: set[str] = set()
-        self._accumulate(document.nodes, ancestor_tags=[],
-                         ancestor_ends=[], sign=+1)
-        self._refresh_fragmentation(document)
+        self._accumulate(document, 0, len(document), chain=[], sign=+1)
+        self._refragment(document, 0, len(document), chain=[], sign=+1)
         self.generation = 0
 
     # -- delta core ---------------------------------------------------------------
 
-    def _accumulate(self, records: list[IntervalNode],
-                    ancestor_tags: list[str],
-                    ancestor_ends: list[int], sign: int) -> None:
-        """Add (``sign=+1``) or retract (``-1``) the contributions of a
-        contiguous pre-order block.  ``ancestor_tags``/``ancestor_ends``
-        seed the ancestor stack with the block's *exterior* ancestors
-        (empty for a whole document)."""
-        ancestors = list(ancestor_tags)
-        ends = list(ancestor_ends)
-        for record in records:
-            while ends and ends[-1] < record.pre:
+    def _accumulate(self, document: IntervalDocument, start: int,
+                    stop: int, chain: list[int], sign: int) -> None:
+        """Add (``sign=+1``) or retract (``-1``) the contributions of the
+        contiguous pre-order block ``[start, stop)``.  ``chain`` holds
+        the block's *exterior* ancestors, root first (empty for a whole
+        document)."""
+        ancestors = [document.tags[pre] for pre in chain]
+        ends = [document.end[pre] for pre in chain]
+        for pre, tag, kind, level, end, value in zip(
+                range(start, stop), document.tags[start:stop],
+                document.kinds[start:stop], document.level[start:stop],
+                document.end[start:stop], document.values[start:stop]):
+            while ends and ends[-1] < pre:
                 ancestors.pop()
                 ends.pop()
-            self.tag_counts[record.tag] += sign
-            self.depth_histogram[record.level] += sign
+            self.tag_counts[tag] += sign
+            self.depth_histogram[level] += sign
             if sign > 0:
-                self.max_depth = max(self.max_depth, record.level)
+                self.max_depth = max(self.max_depth, level)
             if ancestors:
-                self.edge_counts[(ancestors[-1], record.tag)] += sign
+                self.edge_counts[(ancestors[-1], tag)] += sign
                 for ancestor_tag in set(ancestors):
-                    self.descendant_counts[
-                        (ancestor_tag, record.tag)] += sign
-            if record.kind in (KIND_TEXT, KIND_ATTRIBUTE) and record.value:
-                owner_tag = ancestors[-1] if ancestors else record.tag
-                key = record.tag if record.kind == KIND_ATTRIBUTE \
-                    else owner_tag
+                    self.descendant_counts[(ancestor_tag, tag)] += sign
+            if kind in (KIND_TEXT, KIND_ATTRIBUTE) and value:
+                owner_tag = ancestors[-1] if ancestors else tag
+                key = tag if kind == KIND_ATTRIBUTE else owner_tag
                 values = self.distinct_values.setdefault(key, Counter())
-                values[record.value] += sign
-                if sign < 0 and values[record.value] <= 0:
-                    del values[record.value]
+                values[value] += sign
+                if sign < 0 and values[value] <= 0:
+                    del values[value]
                     if not values:
                         del self.distinct_values[key]
-            ancestors.append(record.tag)
-            ends.append(record.end)
+            ancestors.append(tag)
+            ends.append(end)
         if sign < 0:
             self._drop_zeros()
 
@@ -109,65 +107,76 @@ class DocumentStatistics:
             for key in [k for k, count in counter.items() if count <= 0]:
                 del counter[key]
 
-    def _exterior_chain(self, document: IntervalDocument,
-                        parent_pre: int) -> tuple[list[str], list[int]]:
-        """Tags and subtree ends of the root-to-``parent_pre`` chain."""
-        tags: list[str] = []
-        ends: list[int] = []
+    def _refragment(self, document: IntervalDocument, start: int,
+                    stop: int, chain: list[int], sign: int) -> None:
+        """Adjust the fragmented-element counts for the block
+        ``[start, stop)``, which is present in ``document`` (inserted:
+        ``sign=+1``, about to be deleted: ``-1``): the block's own
+        elements, plus every exterior ancestor whose text-run count
+        crosses 2 by gaining or losing the block's text runs."""
+        if self._fragmented is None:
+            self._fragmented = Counter()
+            self._refragment(document, 0, len(document), [], +1)
+            if sign > 0:   # the full pass already counted the block
+                return
+        fragmented = self._fragmented
+        kinds, ends, tags = document.kinds, document.end, document.tags
+        runs = kinds.count
+        for pre in range(start, stop):
+            if kinds[pre] == KIND_ELEMENT \
+                    and runs(KIND_TEXT, pre, ends[pre] + 1) >= 2:
+                fragmented[tags[pre]] += sign
+        block_runs = runs(KIND_TEXT, start, stop)
+        for pre in chain:
+            if kinds[pre] != KIND_ELEMENT:
+                continue
+            with_block = runs(KIND_TEXT, pre, ends[pre] + 1)
+            if with_block >= 2 and with_block - block_runs < 2:
+                fragmented[tags[pre]] += sign
+        for tag in [tag for tag, count in fragmented.items() if count <= 0]:
+            del fragmented[tag]
+        self.fragmented_value_tags = set(fragmented)
+
+    @staticmethod
+    def _exterior_chain(document: IntervalDocument,
+                        parent_pre: int) -> list[int]:
+        """Pre ids of the root-to-``parent_pre`` chain, root first."""
+        chain: list[int] = []
+        parent = document.parent
         pre = parent_pre
         while pre >= 0:
-            record = document.node(pre)
-            tags.append(record.tag)
-            ends.append(record.end)
-            pre = record.parent
-        tags.reverse()
-        ends.reverse()
-        return tags, ends
+            chain.append(pre)
+            pre = parent[pre]
+        chain.reverse()
+        return chain
 
     # -- incremental maintenance -------------------------------------------------
 
     def apply_insert(self, document: IntervalDocument,
                      insert_pre: int, count: int) -> None:
-        """Account for ``count`` records just spliced in at
-        ``insert_pre`` (call after the interval store relabelled)."""
-        records = document.nodes[insert_pre:insert_pre + count]
-        parent = records[0].parent
-        tags, ends = self._exterior_chain(document, parent)
-        self._accumulate(records, tags, ends, sign=+1)
+        """Account for ``count`` nodes just spliced in at ``insert_pre``
+        (call after the interval store relabelled)."""
+        stop = insert_pre + count
+        chain = self._exterior_chain(document, document.parent[insert_pre])
+        self._accumulate(document, insert_pre, stop, chain, sign=+1)
+        self._refragment(document, insert_pre, stop, chain, sign=+1)
         self.node_count += count
         self.generation += 1
 
     def apply_delete(self, document: IntervalDocument, pre: int) -> None:
         """Retract the subtree rooted at ``pre`` (call *before* the
         interval store splices it out, while labels are consistent)."""
-        record = document.node(pre)
-        records = document.nodes[pre:record.end + 1]
-        tags, ends = self._exterior_chain(document, record.parent)
-        self._accumulate(records, tags, ends, sign=-1)
-        self.node_count -= len(records)
+        stop = document.end[pre] + 1
+        chain = self._exterior_chain(document, document.parent[pre])
+        self._accumulate(document, pre, stop, chain, sign=-1)
+        self._refragment(document, pre, stop, chain, sign=-1)
+        self.node_count -= stop - pre
         self.generation += 1
 
-    def finalize_update(self, document: IntervalDocument) -> None:
-        """Refresh the whole-document summaries after the stores settled:
-        exact ``max_depth`` from the histogram and the exact fragmented
-        tag set (one linear pass — correctness of index-scan depends on
-        this never under-approximating)."""
+    def finalize_update(self) -> None:
+        """Refresh ``max_depth`` from the exact depth histogram once the
+        stores settled."""
         self.max_depth = max(self.depth_histogram, default=0)
-        self._refresh_fragmentation(document)
-
-    def _refresh_fragmentation(self, document: IntervalDocument) -> None:
-        texts_before = [0] * (len(document.nodes) + 1)
-        for index, record in enumerate(document.nodes):
-            texts_before[index + 1] = texts_before[index] + (
-                1 if record.kind == KIND_TEXT else 0)
-        fragmented: set[str] = set()
-        for record in document.nodes:
-            if record.kind != KIND_ELEMENT:
-                continue
-            runs = texts_before[record.end + 1] - texts_before[record.pre]
-            if runs >= 2:
-                fragmented.add(record.tag)
-        self.fragmented_value_tags = fragmented
 
     # -- serialization ----------------------------------------------------------
 
@@ -212,6 +221,8 @@ class DocumentStatistics:
             "distinct_values": values_flat,
             "max_depth": self.max_depth,
             "fragmented_value_tags": sorted(self.fragmented_value_tags),
+            "fragmented_counts": (None if self._fragmented is None
+                                  else self._columns(self._fragmented, 1)),
             "generation": self.generation,
         }
 
@@ -239,6 +250,9 @@ class DocumentStatistics:
         stats.distinct_values = distinct
         stats.max_depth = state["max_depth"]
         stats.fragmented_value_tags = set(state["fragmented_value_tags"])
+        counts = state.get("fragmented_counts")  # rebuilt if absent
+        stats._fragmented = (None if counts is None
+                             else Counter(dict(zip(*counts))))
         stats.generation = state["generation"]
         return stats
 

@@ -8,7 +8,7 @@ also pin the binary encoding's array fast paths (homogeneous int / str /
 float lists) to exact round-trip semantics.
 
 Covered per the durability spec: the BP bitvector, the tag index
-(restored postings must alias the live interval records), the value
+(a restored index must stay equal to a fresh build under updates), the value
 indexes **with live tombstones** and **after self-compaction**, document
 statistics, and the empty-document / empty-database boundary cases.
 """
@@ -26,6 +26,7 @@ from repro.storage.content import ContentStore
 from repro.storage.stats import DocumentStatistics
 from repro.storage.tagindex import TagIndex
 from repro.storage.valueindex import ContentIndex
+from repro.xml.parser import parse
 
 DOC = """<bib>
   <book year="1994"><title>TCP/IP</title><price>65.95</price></book>
@@ -78,20 +79,42 @@ def test_bitvector_roundtrip_from_live_document():
 # -- tag index ----------------------------------------------------------------
 
 
-def test_tag_index_roundtrip_aliases_interval_records():
+def test_tag_index_roundtrip_stays_current_under_updates():
+    """A restored index, maintained through inserts and deletes, equals
+    a fresh build over the updated interval store — both the pre lists
+    and the materialised posting records."""
     database = _loaded_database()
     document = database.document()
-    postings = _wire(document.tag_index.postings_snapshot())
-    restored = TagIndex.restore(document.interval, postings)
+    interval = document.interval.clone()
+    restored = TagIndex.restore(
+        interval, _wire(document.tag_index.postings_snapshot()))
     assert restored.postings_snapshot() == \
         document.tag_index.postings_snapshot()
-    # The restored posting lists must reference the *same* record
-    # objects as the interval store, so in-place relabelling after
-    # future updates keeps the index current.
-    for tag, pres in postings.items():
-        for position, pre in enumerate(pres):
-            assert restored._postings[tag][position] \
-                is document.interval.nodes[pre]
+    restored.postings("book")  # memoised records must not go stale
+
+    def insert(parent_pre: int, position: int, xml: str) -> None:
+        subtree = parse(xml).root
+        subtree.parent.remove(subtree)
+        metrics = interval.insert_subtree(parent_pre, position, subtree)
+        restored.apply_insert(metrics["inserted_at"],
+                              metrics["inserted_nodes"])
+
+    def delete(pre: int) -> None:
+        restored.apply_delete(pre, interval.end[pre] - pre + 1)
+        interval.delete_subtree(pre)
+
+    bib = interval.by_tag("bib")[0].pre
+    insert(bib, 0, "<book year='2024'><title>New</title></book>")
+    delete(interval.by_tag("book")[2].pre)
+    insert(interval.by_tag("misc")[0].pre, 1, "<empty><book/></empty>")
+    delete(interval.by_tag("book")[0].pre)
+
+    fresh = TagIndex(interval)
+    assert restored.postings_snapshot() == fresh.postings_snapshot()
+    assert sorted(restored.tags()) == sorted(fresh.tags())
+    for tag in fresh.tags():
+        assert restored.postings(tag) == fresh.postings(tag)
+        assert restored.postings(tag) == interval.by_tag(tag)
 
 
 # -- value indexes ------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.durability.checkpoint import list_generations, snapshot_path, \
     wal_path
 from repro.durability.format import pack_obj, unpack_obj, read_sections, \
     write_section
-from repro.durability.snapshot import read_snapshot
+from repro.durability.snapshot import SNAPSHOT_MAGIC, read_snapshot
 from repro.durability.wal import WAL_MAGIC, WriteAheadLog, read_records
 
 from tests.durability.faults import (
@@ -164,6 +164,41 @@ def test_corrupt_snapshot_falls_back_to_previous_generation(tmp_path):
         # The next checkpoint must not collide with the corrupt file.
         checkpoint = recovered.checkpoint()
         assert checkpoint["generation"] == 3
+    finally:
+        recovered.close()
+
+
+def test_inconsistent_interval_post_falls_back(tmp_path):
+    """A snapshot whose sections all pass their CRCs but whose interval
+    ``post`` column disagrees with ``end - level`` is corrupt too:
+    recovery falls back to the previous generation."""
+    live = tmp_path / "db"
+    db = Database.open(live, checkpoint_every=0)
+    db.load(DOC, uri=URI)                       # snapshot gen 1
+    db.insert("/bib", "<book><title>New</title><price>1</price></book>")
+    db.checkpoint()                             # snapshot gen 2
+    db.close()
+
+    path = snapshot_path(live, 2)
+    data = path.read_bytes()
+    prefix = len(SNAPSHOT_MAGIC) + 4
+    with open(path, "wb") as out:
+        out.write(data[:prefix])
+        for kind, payload in read_sections(data, prefix):
+            if kind.endswith(":interval"):
+                state = unpack_obj(payload)
+                state["post"][1] += 1
+                payload = pack_obj(state)
+            write_section(out, kind, payload)
+    read_snapshot(path)  # every section checksum still passes
+
+    recovered = Database.open(live, debug_checks=True)
+    try:
+        report = recovered.durability.last_recovery
+        assert report["snapshot_generation"] == 1
+        assert report["corrupt_generations"] == [2]
+        assert recovered.query("/bib/book/title").values() == \
+            ["TCP/IP", "Data on the Web", "New"]
     finally:
         recovered.close()
 

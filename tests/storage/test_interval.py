@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StorageError
+from repro.errors import SnapshotCorruptError, StorageError
 from repro.xml.model import Element
 from repro.xml.parser import parse
 from repro.storage.interval import IntervalDocument
@@ -154,6 +154,34 @@ class TestUpdates:
     def test_insert_bad_position_rejected(self, doc):
         with pytest.raises(StorageError):
             doc.insert_subtree(parent=0, position=9, subtree=Element("x"))
+
+
+class TestSnapshot:
+    def test_roundtrip(self, doc):
+        succinct = SuccinctDocument.from_document(parse(SAMPLE))
+        restored = IntervalDocument.from_snapshot(doc.to_snapshot(),
+                                                  succinct)
+        assert restored.nodes == doc.nodes
+        assert restored.to_snapshot() == doc.to_snapshot()
+
+    @pytest.mark.parametrize("column", ["post", "end", "level"])
+    def test_tampered_labels_are_corrupt(self, doc, column):
+        """``post`` is written redundantly (``end - level``): a state
+        where the columns disagree is rejected as corrupt, which makes
+        recovery fall back to an older snapshot generation."""
+        succinct = SuccinctDocument.from_document(parse(SAMPLE))
+        state = doc.to_snapshot()
+        state[column][2] += 1
+        with pytest.raises(SnapshotCorruptError):
+            IntervalDocument.from_snapshot(state, succinct)
+
+    def test_clone_is_independent(self, doc):
+        twin = doc.clone()
+        before = doc.nodes
+        twin.insert_subtree(1, 0, Element("x"))
+        twin.delete_subtree(twin.by_tag("book")[0].pre)
+        assert doc.nodes == before
+        assert IntervalDocument.from_document(parse(SAMPLE)).nodes == before
 
 
 class TestAccounting:
