@@ -6,12 +6,12 @@ Three experiments over an XMark document:
   through ``Database.query_many`` at increasing thread counts, in two
   regimes: *warm* (result cache on: a request is an LRU lookup under
   the cache lock — the "millions of users" serving path) and *execute*
-  (result cache disabled: every request runs its physical plan as a
-  shared reader).  CPython's GIL bounds the parallel speedup of pure-
-  Python execution; the measurement shows the RW-lock/cache overhead is
+  (result cache disabled: every request runs its physical plan against
+  its pinned snapshot).  CPython's GIL bounds the parallel speedup of
+  pure-Python execution; the measurement shows the cache overhead is
   small enough that batching stays at worst flat rather than degrading.
 * **reader/writer mix** — reader threads serve a query stream while one
-  writer thread inserts/deletes under the exclusive lock; reports
+  writer thread inserts/deletes under the writer mutex; reports
   reader throughput next to writer latency, plus a correctness check
   (every reader answer equals one of the consistent snapshots).
 
@@ -189,8 +189,8 @@ def run(quick: bool = False) -> dict:
              ["consistency violations",
               mixed["consistency_violations"]]],
             note="every reader answer matched a consistent snapshot "
-                 "(base or base+probe); writer excluded readers via "
-                 "the writer-preferring RW lock"),
+                 "(base or base+probe); readers pin MVCC snapshots, "
+                 "the writer publishes copy-on-write versions"),
     ])
     publish("e11_concurrency", table)
     RESULTS_DIR.mkdir(exist_ok=True)

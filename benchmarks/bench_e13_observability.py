@@ -4,8 +4,8 @@ The engine is instrumented end to end (spans, a metrics registry, a
 slow-query log), so the interesting number is what that costs on the
 query hot path.  Four configurations run the same XMark query batch:
 
-* **stripped** — the observability facade is swapped for a no-op stub
-  and the lock observer is detached: the uninstrumented floor.
+* **stripped** — the observability facade (including its writer-mutex
+  wait hook) is swapped for a no-op stub: the uninstrumented floor.
 * **default** — a stock ``Database()``: metrics on, trace sampling off
   (``trace_sample=0.0``), slow-query threshold at its 0.25 s default.
   The acceptance bar is < 5 % median overhead over *stripped*
@@ -71,6 +71,9 @@ class _StrippedFacade:
     def record_query_error(self, *args, **kwargs) -> None:
         pass
 
+    def on_lock_wait(self, *args, **kwargs) -> None:
+        pass
+
 
 def _make_database(config: str, tree) -> Database:
     if config == "stripped":
@@ -87,7 +90,6 @@ def _make_database(config: str, tree) -> Database:
     database.load_tree(tree, uri="xmark.xml")
     if config == "stripped":
         database.observability = _StrippedFacade()
-        database.rwlock.observer = None
     return database
 
 
@@ -189,7 +191,7 @@ def run(quick: bool = False) -> dict:
             f"{overhead['repeats']})",
             ["configuration", "batch s", "per-query ms", "overhead"],
             rows,
-            note="stripped = no-op facade + detached lock observer; "
+            note="stripped = no-op facade (incl. lock-wait hook); "
                  "default keeps metrics on with trace sampling off"),
         format_table(
             "E13b — side channels (informational)",

@@ -1,6 +1,6 @@
 """E15 — MVCC snapshot reads: lock-free serving under writer churn.
 
-PR 7 retired the reader-side RWLock: queries pin an immutable
+Queries take no lock at all: they pin an immutable
 ``DatabaseSnapshot`` (one attribute read) and writers publish new
 copy-on-write versions with a single pointer swap.  This experiment
 quantifies what that buys on the E11 workload:
@@ -8,14 +8,16 @@ quantifies what that buys on the E11 workload:
 * **read-only baseline** — 8 reader threads execute the query batch
   with the result cache off (every request runs its physical plan);
 * **mixed load** — the same 8 readers while 1 writer thread
-  continuously inserts/deletes.  Under the old RW lock every update
-  stalled the whole reader pool; under MVCC readers never block, so
+  continuously inserts/deletes.  Under a reader-writer lock every
+  update would stall the whole reader pool; under MVCC readers never
+  block, so
   mixed throughput should stay within 2x of read-only (the acceptance
   criterion) instead of collapsing.
 
 Both phases assert the MVCC invariants: the ``repro_lock_wait_seconds``
-read-mode histogram stays empty (readers acquired zero read locks) and
-every mixed-phase answer equals one of the consistent snapshots.
+histogram count does not move across the read-only phase (readers
+acquired zero locks) and every mixed-phase answer equals one of the
+consistent snapshots.
 
 Artifacts: ``benchmarks/results/e15_mvcc.txt`` plus machine-readable
 numbers in ``benchmarks/results/BENCH_e15_mvcc.json``.
@@ -62,10 +64,10 @@ def _database(scale: int) -> Database:
     return database
 
 
-def _read_lock_count(database: Database) -> int:
+def _lock_count(database: Database) -> int:
     histogram = database.observability.registry.get(
         "repro_lock_wait_seconds")
-    return histogram.count(mode="read")
+    return histogram.count()
 
 
 def _run_phase(database: Database, readers: int, reader_queries: int,
@@ -137,7 +139,9 @@ def run(quick: bool = False) -> dict:
     database.delete('//item[@id = "mvcc-bench"]')
     publishes_before = database.version_publishes
 
+    locks_before = _lock_count(database)
     read_only = _run_phase(database, readers, reader_queries, [base])
+    read_lock_acquisitions = _lock_count(database) - locks_before
     mixed = _run_phase(database, readers, reader_queries, [base, alt],
                        writer_updates=writer_updates)
     ratio = mixed["reader_qps"] / max(read_only["reader_qps"], 1e-9)
@@ -149,7 +153,7 @@ def run(quick: bool = False) -> dict:
         "read_only": read_only,
         "mixed": mixed,
         "mixed_vs_read_only": ratio,
-        "read_lock_acquisitions": _read_lock_count(database),
+        "read_lock_acquisitions": read_lock_acquisitions,
         "version_publishes": database.version_publishes -
                              publishes_before,
         "active_pins_after": database.active_pins,
@@ -168,8 +172,8 @@ def run(quick: bool = False) -> dict:
           read_only["consistency_violations"],
           mixed["consistency_violations"]],
          ["mixed / read-only qps", "-", ratio]],
-        note="readers pin MVCC snapshots and take zero read locks "
-             f"(read-mode lock histogram count = "
+        note="readers pin MVCC snapshots and take zero locks "
+             f"(lock histogram count delta over the read-only phase = "
              f"{report['read_lock_acquisitions']}); the acceptance "
              "bar is mixed >= 0.5x read-only")
     publish("e15_mvcc", table)

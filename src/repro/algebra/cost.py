@@ -288,8 +288,8 @@ class CostModel:
     def all_costs(self, pattern: PatternGraph,
                   include_columnar: bool = False) -> list[CostEstimate]:
         """Every finite strategy estimate.  ``include_columnar`` opts the
-        vectorized path into the comparison — the planner passes its
-        ``columnar`` knob through, so ``off`` mode never costs it."""
+        vectorized path into the comparison (the physical planner always
+        does; the paper-era experiments compare without it)."""
         estimates = [
             self.nok_cost(pattern) if pattern.is_nok() else
             self.partitioned_cost(pattern),

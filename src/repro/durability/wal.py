@@ -4,10 +4,10 @@ Every structural update (``load`` / ``insert`` / ``delete``) appends one
 **logical** record — the operation, its target path, the fragment text,
 and the expected post-apply generation — to the current WAL file, and
 the append is flushed *and fsynced* before the in-memory stores are
-touched.  Because PR 2's reader-writer lock makes writers exclusive, WAL
-appends are trivially serialized: there is exactly one writer inside the
-critical section, so records land in exactly the order the deltas are
-applied.
+touched.  Because the database's writer mutex makes writers exclusive,
+WAL appends are trivially serialized: there is exactly one writer inside
+the critical section, so records land in exactly the order the deltas
+are applied.
 
 File layout::
 

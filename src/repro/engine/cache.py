@@ -39,7 +39,7 @@ them in :meth:`Database.cache_report` and per-query in
 All three caches are **thread-safe**: every :class:`LRUCache` operation
 holds an internal RLock, and the result cache's compound
 stamp-check-then-promote runs under that same lock, so the serving
-layer's concurrent readers (see :mod:`repro.engine.concurrency`) can
+layer's concurrent readers (see :meth:`Database.query_many`) can
 share them without external synchronization.
 """
 

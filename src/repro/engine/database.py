@@ -34,9 +34,8 @@ Updates are **incremental**: ``insert``/``delete`` splice the primary
 stores locally and apply *deltas* to every derived structure (tag index
 postings, statistics counters, value indexes, node list, pre-order map)
 instead of rebuilding them from scratch.  ``rebuild_derived(force=True)``
-remains as an escape hatch, and ``debug_checks=True`` (or the
-``REPRO_DEBUG_UPDATES`` environment variable) cross-checks the
-incremental state against a fresh rebuild after every update.
+remains as an escape hatch, and ``debug_checks=True`` cross-checks
+the incremental state against a fresh rebuild after every update.
 
 Durability
 ----------
@@ -66,7 +65,9 @@ one consistent version of every document, however long it runs and
 however many updates land meanwhile.
 
 Writers (``load``/``insert``/``delete``/``rebuild_derived``) serialize
-against *each other* on the write side of ``rwlock``, build a complete
+against *each other* on one writer mutex (:meth:`Database.write_locked`,
+a reentrant lock whose acquisition waits feed the
+``repro_lock_wait_seconds`` histogram), build a complete
 new :class:`DocumentVersion` by cloning the current one and splicing
 the copy (copy-on-write — the pinned version is never touched), and
 publish with one atomic assignment of a new snapshot object (a pointer
@@ -81,10 +82,10 @@ thread pool.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -110,7 +111,6 @@ from repro.engine.cache import (
 )
 from repro.durability.manager import DurabilityManager
 from repro.durability.snapshot import materialise_tree
-from repro.engine.concurrency import RWLock
 from repro.engine.executor import PhysicalExecutionContext, run_plan
 from repro.engine.mapping import (
     apply_delete_mapping,
@@ -121,11 +121,7 @@ from repro.engine.mapping import (
 from repro.observability import Observability
 from repro.observability.analyze import ExplainAnalysis
 from repro.physical.base import MatchRuntime
-from repro.physical.planner import (
-    COLUMNAR_MODES,
-    STRATEGIES,
-    PhysicalPlanner,
-)
+from repro.physical.planner import STRATEGIES, PhysicalPlanner
 from repro.xquery.parser import parse_xquery
 
 __all__ = ["Database", "DatabaseSnapshot", "DocumentVersion",
@@ -167,8 +163,7 @@ class DocumentVersion:
     # publish time; result-cache stamps are built from these, so a
     # cache entry can never be served across a version swap.
     version_id: int = 0
-    # (pattern signature, statistics generation, columnar mode)
-    # -> chosen strategy.
+    # (pattern signature, statistics generation) -> chosen strategy.
     strategy_memo: dict = field(default_factory=dict)
     # Guards strategy_memo: concurrent readers memoize choices for the
     # same hot pattern (see PhysicalPlanner).
@@ -252,23 +247,28 @@ class QueryResult:
         return iter(self.items)
 
 
+def _check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ExecutionError(
+            f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+
+
 class Database:
     """An in-memory XML database with pluggable execution strategies.
 
     Cache knobs: ``plan_cache_size`` / ``result_cache_size`` bound the
     two serving-layer caches (0 disables a cache).  ``debug_checks=True``
     cross-checks every incremental update against a fresh rebuild of the
-    derived structures (slow; meant for tests — also enabled by setting
-    the ``REPRO_DEBUG_UPDATES`` environment variable).
+    derived structures (slow; meant for tests).
 
     Thread safety: queries are lock-free — each pins the current
     :class:`DatabaseSnapshot` and runs entirely against it.  Structural
     changes (``load``/``insert``/``delete``/``rebuild_derived``)
-    serialize against each other on the write side of ``rwlock``,
-    build a new :class:`DocumentVersion` copy-on-write, and publish it
-    with one atomic snapshot swap; the caches and the page manager are
-    internally locked; per-query I/O is accounted per thread.  See
-    :mod:`repro.engine.concurrency` and :meth:`query_many`.
+    serialize against each other on the writer mutex
+    (:meth:`write_locked`), build a new :class:`DocumentVersion`
+    copy-on-write, and publish it with one atomic snapshot swap; the
+    caches and the page manager are internally locked; per-query I/O is
+    accounted per thread.  See :meth:`query_many`.
     """
 
     def __init__(self, page_size: int = 4096, pool_pages: int = 256,
@@ -278,16 +278,7 @@ class Database:
                  trace_sample: float = 0.0,
                  trace_capacity: int = 512,
                  slow_query_seconds: float = 0.25,
-                 slow_log_capacity: int = 128,
-                 columnar: str = "auto"):
-        if columnar not in COLUMNAR_MODES:
-            raise ExecutionError(
-                f"columnar mode must be one of {COLUMNAR_MODES}, "
-                f"got {columnar!r}")
-        # Vectorized-execution knob: "auto" lets the cost model compare
-        # the columnar path, "on" forces it for eligible patterns,
-        # "off" removes it from planning.  See set_columnar().
-        self.columnar = columnar
+                 slow_log_capacity: int = 128):
         self.pages = PageManager(page_size=page_size, pool_pages=pool_pages)
         # THE mutable cell of the MVCC design: everything a query needs
         # hangs off this one reference.  Writers replace it wholesale
@@ -308,8 +299,7 @@ class Database:
         # Set by Database.open(read_only=True); guards every public
         # structural-update entry point (_check_writable).
         self.read_only = False
-        self.debug_checks = (debug_checks
-                             or bool(os.environ.get("REPRO_DEBUG_UPDATES")))
+        self.debug_checks = debug_checks
         # Set by Database.open(); None = a purely in-memory database.
         self.durability: Optional[DurabilityManager] = None
         # Tracing + metrics + slow-query log.  ``trace_sample`` is the
@@ -320,15 +310,24 @@ class Database:
             trace_sample=trace_sample, trace_capacity=trace_capacity,
             slow_query_seconds=slow_query_seconds,
             slow_log_capacity=slow_log_capacity)
-        # The writer mutex: load/insert/delete/rebuild take the write
-        # side so at most one new version is built and published at a
-        # time.  Queries never touch it (they pin snapshots); the read
-        # side remains for external callers needing a writer-quiescent
-        # window.  The observer feeds the lock-wait histograms
-        # (repro_lock_wait_seconds) — under pure query load the "read"
-        # series stays empty, which E15 asserts.
-        self.rwlock = RWLock(observer=self.observability.on_lock_wait)
+        # The writer mutex: at most one new version is built and
+        # published at a time.  Queries never touch it (they pin
+        # snapshots).  Reentrant, so a writer may call back into a
+        # write_locked() section it already holds.
+        self._write_lock = threading.RLock()
         self.observability.bind_database(self)
+
+    @contextmanager
+    def write_locked(self):
+        """``with db.write_locked(): ...`` — the writer mutex.
+
+        Every structural change, checkpoint and snapshot install runs
+        inside it; each acquisition's wait is recorded in the
+        ``repro_lock_wait_seconds`` histogram."""
+        started = time.perf_counter()
+        with self._write_lock:
+            self.observability.on_lock_wait(time.perf_counter() - started)
+            yield
 
     # -- MVCC plumbing ------------------------------------------------------------
 
@@ -440,7 +439,7 @@ class Database:
             snapshot_opener=snapshot_opener, read_only=read_only)
         database.durability = manager
         manager.tracer = database.observability.tracer
-        with database.rwlock.write_locked():
+        with database.write_locked():
             manager.attach(database)
         return database
 
@@ -456,7 +455,7 @@ class Database:
         operation is already fsynced).  No-op for in-memory databases."""
         if self.durability is None:
             return
-        with self.rwlock.write_locked():
+        with self.write_locked():
             self.durability.close()
 
     def checkpoint(self) -> dict:
@@ -466,7 +465,7 @@ class Database:
             raise ExecutionError(
                 "checkpoint() requires a durable database — use "
                 "Database.open(directory)")
-        with self.rwlock.write_locked():
+        with self.write_locked():
             return self.durability.checkpoint(self)
 
     def durability_report(self) -> Optional[dict]:
@@ -474,7 +473,7 @@ class Database:
         in-memory)."""
         if self.durability is None:
             return None
-        with self.rwlock.read_locked():
+        with self.write_locked():
             return self.durability.report()
 
     def _log_update(self, record: dict) -> None:
@@ -546,7 +545,7 @@ class Database:
         read-only; the shipped state originates from the primary's own
         WAL-explained checkpoints, not from a local mutation).
         """
-        with self.rwlock.write_locked():
+        with self.write_locked():
             self._restore_from_snapshot(state)
 
     def version_vector(self) -> dict:
@@ -657,7 +656,7 @@ class Database:
         the common recovery path — reopening restores the snapshot.
         """
         self._check_writable("load")
-        with self.rwlock.write_locked():
+        with self.write_locked():
             self._log_update({"op": "load", "uri": uri,
                               "xml": serialize(tree)})
             document = self._load_tree_locked(tree, uri)
@@ -808,9 +807,7 @@ class Database:
         without variables additionally consult the result cache (see
         ``QueryResult.stats["cache"]`` and :meth:`cache_report`).
         """
-        if strategy not in STRATEGIES:
-            raise ExecutionError(
-                f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+        _check_strategy(strategy)
         plan, plan_hit = self._compiled_plan(text)
         return self._run_compiled(text, plan, plan_hit=plan_hit,
                                   strategy=strategy, uri=uri,
@@ -825,11 +822,11 @@ class Database:
 
         Each element of ``queries`` is a query text or a
         :class:`~repro.engine.cache.PreparedQuery`; results come back
-        in input order.  Every query executes as a shared reader under
-        the database's reader-writer lock, so batches interleave safely
-        with concurrent ``insert``/``delete`` calls from other threads
-        (each query sees a consistent snapshot).  Per-query ``io``
-        accounting stays exact: counters are tracked per worker thread.
+        in input order.  Every query pins its own snapshot, so batches
+        interleave safely with concurrent ``insert``/``delete`` calls
+        from other threads (each query sees a consistent snapshot).
+        Per-query ``io`` accounting stays exact: counters are tracked
+        per worker thread.
 
         ``max_workers <= 1`` (or a single-element batch) degenerates to
         serial execution on the calling thread.
@@ -866,9 +863,7 @@ class Database:
         instead (an update resolving its target inside a replay batch);
         such a run bypasses the result cache.
         """
-        if strategy not in STRATEGIES:
-            raise ExecutionError(
-                f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+        _check_strategy(strategy)
         started = time.perf_counter()
         deadline = (None if timeout_seconds is None
                     else time.monotonic() + timeout_seconds)
@@ -1203,7 +1198,7 @@ class Database:
 
     def clear_caches(self) -> None:
         """Drop every cached plan, result, and strategy choice."""
-        with self.rwlock.write_locked():
+        with self.write_locked():
             self.plan_cache.clear()
             self.result_cache.clear()
             for document in self.documents.values():
@@ -1246,6 +1241,7 @@ class Database:
         analyzed execution bypasses the result cache so the actuals
         reflect real operator work.
         """
+        _check_strategy(strategy)
         plan, _ = self._compiled_plan(text)
         lines = [explain_plan(plan)]
         snapshot = self._pin()
@@ -1254,8 +1250,7 @@ class Database:
             cost_model = CostModel(document.statistics)
             planner = PhysicalPlanner(cost_model,
                                       choice_memo=document.strategy_memo,
-                                      memo_lock=document.memo_lock,
-                                      columnar=self.columnar)
+                                      memo_lock=document.memo_lock)
             plan_text = self._explain_walk(plan, lines, planner,
                                            cost_model, strategy)
             if not analyze:
@@ -1335,19 +1330,7 @@ class Database:
         can memoize safely) attached."""
         return PhysicalPlanner(CostModel(document.statistics),
                                choice_memo=document.strategy_memo,
-                               memo_lock=document.memo_lock,
-                               columnar=self.columnar)
-
-    def set_columnar(self, mode: str) -> None:
-        """Switch the vectorized-execution mode at runtime.
-
-        No cache surgery is needed: planner memo keys include the mode,
-        so choices memoized under another mode can never be served."""
-        if mode not in COLUMNAR_MODES:
-            raise ExecutionError(
-                f"columnar mode must be one of {COLUMNAR_MODES}, "
-                f"got {mode!r}")
-        self.columnar = mode
+                               memo_lock=document.memo_lock)
 
     # -- updates -------------------------------------------------------------------
 
@@ -1369,7 +1352,7 @@ class Database:
         Takes the write lock only to serialize against other writers.
         """
         self._check_writable("insert")
-        with self.rwlock.write_locked():
+        with self.write_locked():
             return self._insert_locked(parent_path, fragment, position,
                                        uri)
 
@@ -1444,7 +1427,7 @@ class Database:
         against other writers.
         """
         self._check_writable("delete")
-        with self.rwlock.write_locked():
+        with self.write_locked():
             return self._delete_locked(path, uri)
 
     def _delete_locked(self, path: str, uri: Optional[str]) -> dict:
@@ -1621,7 +1604,7 @@ class Database:
         (writer serialization only).
         """
         self._check_writable("rebuild_derived")
-        with self.rwlock.write_locked():
+        with self.write_locked():
             document = self.document(uri)
             if force:
                 return self._rebuild_derived(document)

@@ -5,7 +5,7 @@ One :class:`Observability` object bundles the three primitives —
 :class:`~repro.observability.metrics.MetricsRegistry`,
 :class:`~repro.observability.slowlog.SlowQueryLog` (plus the error
 journal) — creates the engine's core instruments, and *binds* the
-existing per-layer counters (plan/result caches, page manager, RW
+existing per-layer counters (plan/result caches, page manager, writer
 lock, WAL/checkpoint accounting) into the registry as pull metrics, so
 the whole engine exports one coherent ``repro_*`` namespace without
 any layer paying per-operation mirroring costs.
@@ -66,9 +66,8 @@ class Observability:
             "tau-batch checks; see Database.query timeout_seconds).")
         self.lock_wait = registry.histogram(
             "repro_lock_wait_seconds",
-            "RWLock acquisition wait time, by side.",
-            buckets=LOCK_WAIT_BUCKETS,
-            labelnames=("mode",))
+            "Writer-mutex acquisition wait time.",
+            buckets=LOCK_WAIT_BUCKETS)
         self.explain_analyze_total = registry.counter(
             "repro_explain_analyze_total",
             "EXPLAIN ANALYZE executions.")
@@ -114,9 +113,10 @@ class Observability:
                               elapsed_seconds=elapsed_seconds,
                               io=dict(io), trace_id=trace_id)
 
-    def on_lock_wait(self, mode: str, waited_seconds: float) -> None:
-        """RWLock observer callback (see ``RWLock.observer``)."""
-        self.lock_wait.observe(waited_seconds, mode=mode)
+    def on_lock_wait(self, waited_seconds: float) -> None:
+        """One writer-mutex acquisition (see
+        ``Database.write_locked``)."""
+        self.lock_wait.observe(waited_seconds)
 
     # -- binding existing layer counters -----------------------------------------
 
@@ -169,24 +169,9 @@ class Observability:
             "Buffer pool capacity in pages.",
             lambda: pages.pool.capacity)
 
-        lock = database.rwlock
-        registry.register_pull(
-            "repro_lock_readers", "gauge",
-            "Threads currently in a read section.",
-            lambda: lock.active_readers)
-        registry.register_pull(
-            "repro_lock_waiting_writers", "gauge",
-            "Threads blocked waiting for the write side.",
-            lambda: lock.waiting_writers)
-        registry.register_pull(
-            "repro_lock_writer_held", "gauge",
-            "Whether the write side is held (0/1).",
-            lambda: 1 if lock.write_held else 0)
-
         # MVCC: how often writers publish new snapshots, how many
         # queries hold a pinned one right now, and which version each
-        # document is at — the dashboard counterparts of the lock
-        # gauges above (which, for queries, should now stay flat).
+        # document is at.
         registry.register_pull(
             "repro_version_publishes_total", "counter",
             "Snapshot publishes (load/insert/delete/rebuild/restore).",
@@ -231,11 +216,6 @@ class Observability:
                            else doc.runtime._columns.size_bytes())
                      for uri, doc in database.documents.items()},
             labelnames=("uri",))
-        registry.register_pull(
-            "repro_columnar_mode", "gauge",
-            "Configured columnar knob (0=off, 1=auto, 2=on).",
-            lambda: {"off": 0, "auto": 1, "on": 2}.get(
-                getattr(database, "columnar", "auto"), 1))
 
         registry.register_pull(
             "repro_slow_queries_total", "counter",

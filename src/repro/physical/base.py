@@ -111,8 +111,8 @@ class MatchRuntime:
         tracking the stores without rebuilding the runtime.  Both extent
         updates happen under the page manager's I/O lock so a concurrent
         ``sequential_scan`` never observes one segment resized and the
-        other not (the engine's RW lock already excludes readers during
-        updates; this keeps the runtime safe standalone too).
+        other not (engine updates splice an unpublished copy that no
+        reader can see; this keeps the runtime safe standalone too).
         """
         self.invalidate_columns()
         if self.pages is None:

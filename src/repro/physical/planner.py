@@ -14,13 +14,10 @@ Strategies (the names the engine and benchmarks use):
 ``auto``           cost-model choice (:class:`repro.algebra.cost.CostModel`)
 =================  ======================================================
 
-``auto`` consults the cost model, then falls back gracefully when the
+``auto`` consults the cost model — the vectorized ``columnar`` path
+competes on cost with the others — then falls back gracefully when the
 chosen strategy cannot express the pattern (e.g. PathStack on a twig).
-
-The ``columnar`` knob (mirroring ``Database(columnar=...)``) controls
-how ``auto`` treats the vectorized path: ``auto`` lets the cost model
-compare it, ``on`` forces it for every eligible pattern, ``off`` never
-plans it (an explicit ``strategy="columnar"`` request still runs it).
+Any strategy can also be requested by name for one query.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from repro.errors import ExecutionError, PlanError
 from repro.algebra.cost import CostModel
 from repro.algebra.pattern_graph import PatternGraph
 from repro.physical.base import MatchRuntime, OperatorStats
-from repro.physical.columnar import ColumnarMatcher, columnar_eligible
+from repro.physical.columnar import ColumnarMatcher
 from repro.physical.indexscan import IndexScanMatcher
 from repro.physical.navigational import NavigationalMatcher
 from repro.physical.nok import NoKMatcher
@@ -40,13 +37,11 @@ from repro.physical.pathstack import PathStackJoin
 from repro.physical.structural_join import BinaryJoinMatcher
 from repro.physical.twigstack import TwigStackJoin
 
-__all__ = ["PhysicalPlanner", "STRATEGIES", "COLUMNAR_MODES"]
+__all__ = ["PhysicalPlanner", "STRATEGIES"]
 
 STRATEGIES = ("nok", "partitioned", "structural-join", "pathstack",
               "twigstack", "navigational", "index-scan", "columnar",
               "auto")
-
-COLUMNAR_MODES = ("auto", "on", "off")
 
 
 class PhysicalPlanner:
@@ -70,14 +65,10 @@ class PhysicalPlanner:
 
     def __init__(self, cost_model: Optional[CostModel] = None,
                  choice_memo: Optional[dict] = None,
-                 memo_lock=None, columnar: str = "auto"):
-        if columnar not in COLUMNAR_MODES:
-            raise PlanError(f"columnar mode must be one of "
-                            f"{COLUMNAR_MODES}, got {columnar!r}")
+                 memo_lock=None):
         self.cost_model = cost_model
         self.choice_memo = choice_memo
         self.memo_lock = memo_lock
-        self.columnar = columnar
         self.memo_hits = 0
         self.memo_misses = 0
 
@@ -100,9 +91,7 @@ class PhysicalPlanner:
         generation = 0
         if self.cost_model is not None:
             generation = getattr(self.cost_model.stats, "generation", 0)
-        # The columnar knob is part of the key: toggling it at runtime
-        # must never serve a choice memoized under the other mode.
-        return (pattern.signature(), generation, self.columnar)
+        return (pattern.signature(), generation)
 
     def choose(self, pattern: PatternGraph) -> str:
         """The strategy ``auto`` resolves to for this pattern."""
@@ -119,12 +108,10 @@ class PhysicalPlanner:
         return choice
 
     def _choose_uncached(self, pattern: PatternGraph) -> str:
-        if self.columnar == "on" and columnar_eligible(pattern):
-            return "columnar"
         if self.cost_model is None:
             return "nok" if pattern.is_nok() else "partitioned"
         choice = self.cost_model.cheapest_strategy(
-            pattern, include_columnar=self.columnar == "auto")
+            pattern, include_columnar=True)
         if choice == "structural-join" and pattern.is_nok():
             choice = "nok"  # cost ties favour the native scan
         if choice == "twigstack" and self._is_linear(pattern):

@@ -246,7 +246,7 @@ class Replica:
         else:
             # No checkpoint on the primary yet: start empty and replay
             # the log from its very beginning.
-            with database.rwlock.write_locked():
+            with database.write_locked():
                 database._publish({}, None, 0)
         self.applied_lsn = lsn
         self.primary_lsn = lsn_from_wire(response["primary_lsn"])
@@ -327,7 +327,7 @@ class Replica:
             return 0
         database = self.database
         try:
-            with database.rwlock.write_locked():
+            with database.write_locked():
                 database._replay_records(fresh)
         except RecoveryError:
             # Divergence: a record's generation stamp disagrees with

@@ -144,7 +144,7 @@ def test_load_record_publishes_pending_batch_first():
         _insert_record("/r", "<y/>", 3, 2),
         _insert_record("/s", "<z/>", 1, 1, uri=OTHER),
     ]
-    with database.rwlock.write_locked():
+    with database.write_locked():
         assert database._replay_records(records) == len(records)
     # Pending successor before the load, the load, the closing batch.
     assert database.version_publishes == publishes + 3
@@ -159,7 +159,7 @@ def test_single_record_replay_is_a_batch_of_one():
     database = Database()
     database.load(DOC, uri=URI)
     publishes = database.version_publishes
-    with database.rwlock.write_locked():
+    with database.write_locked():
         database._replay_record(_insert_record("/r", "<x/>", 2, 1))
     assert database.version_publishes == publishes + 1
     assert database._replay_pending is None
@@ -177,7 +177,7 @@ def test_failed_batch_publishes_nothing():
         _insert_record("/r", "<x/>", 2, 1),
         _insert_record("//x", "<w/>", 0, 99),   # wrong generation stamp
     ]
-    with database.rwlock.write_locked():
+    with database.write_locked():
         with pytest.raises(RecoveryError):
             database._replay_records(records)
     assert database._snapshot is published
@@ -187,7 +187,7 @@ def test_failed_batch_publishes_nothing():
     # The dropped successor is gone: the same records, correctly
     # stamped, replay cleanly from the published version.
     records[1]["generation"] = 2
-    with database.rwlock.write_locked():
+    with database.write_locked():
         database._replay_records(records)
     assert serialize(database.document().tree) \
         == "<r><a>1</a><b>2</b><x><w/></x></r>"

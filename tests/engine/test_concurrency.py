@@ -1,7 +1,7 @@
 """Concurrent serving-layer tests.
 
-* :class:`repro.engine.concurrency.RWLock` unit tests (exclusion,
-  writer preference, reentrancy, upgrade refusal);
+* the writer mutex (``Database.write_locked``): exclusion against a
+  concurrent insert, reentrancy, and its wait histogram;
 * thread-safety of the LRU caches under a multi-threaded hammer;
 * ``Database.query_many`` batch semantics;
 * the stress suite the CI job runs: N reader threads executing mixed
@@ -19,271 +19,65 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 from repro.engine.cache import LRUCache
-from repro.engine.concurrency import RWLock
 from repro.engine.database import Database
 
 STRESS_WORKERS = int(os.environ.get("REPRO_STRESS_WORKERS", "8"))
 
+BIB = """
+<bib>
+  <book year="1994"><title>TCP/IP Illustrated</title>
+    <author><last>Stevens</last></author><price>65.95</price></book>
+  <book year="2000"><title>Data on the Web</title>
+    <author><last>Abiteboul</last></author><price>39.95</price></book>
+  <book year="1999"><title>Economics</title>
+    <author><last>Varian</last></author><price>100</price></book>
+</bib>
+"""
 
-# -- RWLock ---------------------------------------------------------------------
+
+# -- the writer mutex -----------------------------------------------------------
 
 
-class TestRWLock:
-    def test_readers_share(self):
-        lock = RWLock()
-        entered = []
+def _lock_wait(db: Database):
+    return db.observability.registry.get("repro_lock_wait_seconds")
 
-        def reader():
-            with lock.read_locked():
-                entered.append(threading.get_ident())
-                time.sleep(0.02)
 
-        threads = [threading.Thread(target=reader) for _ in range(4)]
-        started = time.perf_counter()
-        for thread in threads:
+class TestWriterMutex:
+    def test_insert_blocks_while_mutex_held(self):
+        db = Database()
+        db.load(BIB, uri="bib.xml")
+        histogram = _lock_wait(db)
+        inserted = threading.Event()
+
+        def writer():
+            db.insert("/bib", "<book><title>Blocked</title></book>")
+            inserted.set()
+
+        with db.write_locked():
+            count_before = histogram.count()
+            sum_before = histogram.sum()
+            thread = threading.Thread(target=writer)
             thread.start()
-        for thread in threads:
-            thread.join()
-        # Four 20ms readers sharing must finish far quicker than the
-        # 80ms a serialized schedule needs.
-        assert time.perf_counter() - started < 0.08
-        assert len(entered) == 4
+            # The insert must queue behind the held mutex.
+            assert not inserted.wait(0.05)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert inserted.is_set()
+        assert histogram.count() == count_before + 1
+        assert histogram.sum() - sum_before > 0.0
+        assert "Blocked" in db.query("//book/title").values()
 
-    def test_writer_excludes_readers_and_writers(self):
-        lock = RWLock()
-        log = []
-
-        def writer():
-            with lock.write_locked():
-                log.append("w-in")
-                time.sleep(0.03)
-                log.append("w-out")
-
-        def reader():
-            with lock.read_locked():
-                log.append("r")
-
-        writer_thread = threading.Thread(target=writer)
-        writer_thread.start()
-        while not lock.write_held:      # wait for the writer to enter
-            time.sleep(0.001)
-        reader_thread = threading.Thread(target=reader)
-        reader_thread.start()
-        writer_thread.join()
-        reader_thread.join()
-        assert log.index("w-out") < log.index("r")
-
-    def test_writer_waits_for_readers(self):
-        lock = RWLock()
-        assert lock.acquire_read()
-        attempts = []
-
-        def try_write(timeout: float) -> None:
-            got = lock.acquire_write(timeout=timeout)
-            attempts.append(got)
-            if got:
-                lock.release_write()
-
-        blocked = threading.Thread(target=try_write, args=(0.02,))
-        blocked.start()
-        blocked.join()
-        lock.release_read()
-        allowed = threading.Thread(target=try_write, args=(2.0,))
-        allowed.start()
-        allowed.join()
-        assert attempts == [False, True]
-
-    def test_writer_preference_blocks_new_readers(self):
-        lock = RWLock()
-        lock.acquire_read()              # main thread holds the read side
-        writer_done = threading.Event()
-
-        def writer():
-            with lock.write_locked():
-                writer_done.set()
-
-        writer_thread = threading.Thread(target=writer)
-        writer_thread.start()
-        while lock.waiting_writers == 0:
-            time.sleep(0.001)
-        # A NEW reader must now queue behind the waiting writer...
-        late_reader_result = []
-
-        def late_reader():
-            late_reader_result.append(lock.acquire_read(timeout=0.05))
-            if late_reader_result[-1]:
-                lock.release_read()
-
-        late = threading.Thread(target=late_reader)
-        late.start()
-        late.join()
-        assert late_reader_result == [False]   # timed out behind writer
-        # ...while the original reader re-enters freely (reentrant).
-        assert lock.acquire_read()
-        lock.release_read()
-        lock.release_read()              # outermost release
-        writer_thread.join()
-        assert writer_done.is_set()
-
-    def test_write_reentrancy_and_nested_read(self):
-        lock = RWLock()
-        with lock.write_locked():
-            with lock.write_locked():
-                with lock.read_locked():     # update paths re-query
-                    assert lock.held_by_me() == "write"
-            assert lock.write_held
-        assert not lock.write_held
-
-    def test_upgrade_is_refused(self):
-        lock = RWLock()
-        with lock.read_locked():
-            with pytest.raises(RuntimeError):
-                lock.acquire_write()
-
-    def test_release_without_acquire_raises(self):
-        lock = RWLock()
-        with pytest.raises(RuntimeError):
-            lock.release_read()
-        with pytest.raises(RuntimeError):
-            lock.release_write()
-
-
-class TestRWLockTimeoutRegressions:
-    """Failing-before/passing-after tests for the timeout bugfixes."""
-
-    def test_timed_out_writer_wakes_queued_readers(self):
-        """A writer that gives up must notify, or readers queued behind
-        its writer preference stay blocked until an unrelated notify
-        (before the fix this reader timed out after the full 2s)."""
-        lock = RWLock()
-        lock.acquire_read()              # main thread blocks the writer
-
-        def writer() -> None:
-            assert lock.acquire_write(timeout=0.05) is False
-
-        writer_thread = threading.Thread(target=writer)
-        writer_thread.start()
-        while lock.waiting_writers == 0:
-            time.sleep(0.001)
-        outcome: list = []
-
-        def late_reader() -> None:
-            started = time.perf_counter()
-            got = lock.acquire_read(timeout=2.0)
-            outcome.append((got, time.perf_counter() - started))
-            if got:
-                lock.release_read()
-
-        late = threading.Thread(target=late_reader)
-        late.start()                     # queues behind the writer
-        writer_thread.join()             # writer times out and exits
-        late.join()
-        lock.release_read()
-        got, waited = outcome[0]
-        assert got is True
-        # Must ride the timed-out writer's notify, not the 2s deadline.
-        assert waited < 1.0, f"reader stalled {waited:.3f}s"
-
-    def test_read_timeout_is_a_deadline(self):
-        """Repeated notifies must not extend the total wait: before the
-        fix each wakeup restarted a full ``timeout`` wait, so a reader
-        asking for 0.2s could block for as long as the writer held."""
-        lock = RWLock()
-        release = threading.Event()
-        held = threading.Event()
-
-        def holder() -> None:
-            with lock.write_locked():
-                held.set()
-                release.wait()
-
-        owner = threading.Thread(target=holder)
-        owner.start()
-        held.wait()
-        stop = threading.Event()
-
-        def heckler() -> None:
-            # Spurious wakeups every 10ms — each one restarted the
-            # 0.2s wait under the old per-iteration timeout.  Bounded
-            # at ~1.5s so a regressed lock overshoots measurably
-            # instead of hanging the suite.
-            for _ in range(150):
-                if stop.is_set():
-                    break
-                with lock._cond:
-                    lock._cond.notify_all()
-                time.sleep(0.01)
-
-        noise = threading.Thread(target=heckler)
-        noise.start()
-        try:
-            started = time.perf_counter()
-            got = lock.acquire_read(timeout=0.2)
-            waited = time.perf_counter() - started
-        finally:
-            stop.set()
-            noise.join()
-            release.set()
-            owner.join()
-        assert got is False
-        assert waited < 0.8, f"deadline overshot: {waited:.3f}s"
-
-    def test_write_timeout_is_a_deadline(self):
-        lock = RWLock()
-        release = threading.Event()
-        held = threading.Event()
-
-        def holder() -> None:
-            with lock.read_locked():
-                held.set()
-                release.wait()
-
-        owner = threading.Thread(target=holder)
-        owner.start()
-        held.wait()
-        stop = threading.Event()
-
-        def heckler() -> None:
-            for _ in range(150):
-                if stop.is_set():
-                    break
-                with lock._cond:
-                    lock._cond.notify_all()
-                time.sleep(0.01)
-
-        noise = threading.Thread(target=heckler)
-        noise.start()
-        try:
-            started = time.perf_counter()
-            got = lock.acquire_write(timeout=0.2)
-            waited = time.perf_counter() - started
-        finally:
-            stop.set()
-            noise.join()
-            release.set()
-            owner.join()
-        assert got is False
-        assert waited < 0.8, f"deadline overshot: {waited:.3f}s"
-
-    def test_observer_fires_on_reentrant_acquisitions(self):
-        """Acquisition *counts* must include reentrant fast paths (the
-        old code only observed first-level waits)."""
-        events: list = []
-        lock = RWLock(observer=lambda mode, waited:
-                      events.append((mode, waited)))
-        with lock.write_locked():
-            with lock.write_locked():        # reentrant write
-                with lock.read_locked():     # writer-nested read
-                    pass
-        with lock.read_locked():
-            with lock.read_locked():         # reentrant read
-                pass
-        modes = [mode for mode, _ in events]
-        assert modes == ["write", "write", "read", "read", "read"]
-        assert all(waited >= 0.0 for _, waited in events)
+    def test_nested_write_locked_does_not_deadlock(self):
+        db = Database()
+        db.load(BIB, uri="bib.xml")
+        histogram = _lock_wait(db)
+        count_before = histogram.count()
+        with db.write_locked():
+            with db.write_locked():
+                db.insert("/bib", "<book><title>Nested</title></book>")
+        assert histogram.count() == count_before + 3
+        assert "Nested" in db.query("//book/title").values()
 
 
 # -- thread-safe caches ---------------------------------------------------------
@@ -318,17 +112,6 @@ class TestLRUCacheThreadSafety:
 
 # -- query_many -----------------------------------------------------------------
 
-
-BIB = """
-<bib>
-  <book year="1994"><title>TCP/IP Illustrated</title>
-    <author><last>Stevens</last></author><price>65.95</price></book>
-  <book year="2000"><title>Data on the Web</title>
-    <author><last>Abiteboul</last></author><price>39.95</price></book>
-  <book year="1999"><title>Economics</title>
-    <author><last>Varian</last></author><price>100</price></book>
-</bib>
-"""
 
 QUERY_POOL = [
     "//book/title",

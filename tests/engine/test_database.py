@@ -143,6 +143,22 @@ class TestErrors:
         with pytest.raises(ExecutionError):
             db.query("/bib", strategy="warp-drive")
 
+    def test_explain_rejects_unknown_strategy(self, db):
+        with pytest.raises(ExecutionError, match="unknown strategy 'bogus'"):
+            db.explain("/bib/book/title", strategy="bogus")
+        with pytest.raises(ExecutionError, match="unknown strategy 'bogus'"):
+            db.explain("/bib/book/title", strategy="bogus", analyze=True)
+
+    def test_explain_request_rejects_unknown_strategy(self, db):
+        request = {"verb": "explain", "text": "/bib/book/title",
+                   "strategy": "bogus"}
+        with pytest.raises(ExecutionError, match="unknown strategy 'bogus'"):
+            db.execute_request(request)
+        request["strategy"] = "navigational"
+        response = db.execute_request(request)
+        assert response["ok"]
+        assert "tau strategy: navigational" in response["explanation"]
+
     def test_unknown_document(self, db):
         with pytest.raises(ExecutionError):
             db.document("nope.xml")

@@ -4,7 +4,7 @@
 * the error path: executor exceptions settle the per-thread I/O ledger
   and count in ``repro_query_errors_total`` by exception class;
 * span nesting across ``query_many`` worker threads;
-* RWLock wait histograms and holders gauges;
+* the writer-mutex wait histogram;
 * slow-query log through the facade;
 * WAL/checkpoint pull metrics on a durable database;
 * ``observability_report()`` and the Prometheus endpoint text.
@@ -164,33 +164,17 @@ class TestTracingThroughEngine:
 
 
 class TestLockObservability:
-    def test_wait_histograms_by_mode(self):
+    def test_wait_histogram_counts_writers_only(self):
         db = make_db()
-        db.query("//last")
-        db.insert("/bib", "<book><title>New</title></book>")
         lock_wait = db.observability.registry.get(
             "repro_lock_wait_seconds")
-        # MVCC: queries pin snapshots — the read-mode series must stay
-        # empty (queries acquire zero RWLock read locks); only the
-        # writer path (insert) touches the lock.
-        assert lock_wait.count(mode="read") == 0
-        assert lock_wait.count(mode="write") > 0
-
-    def test_holders_gauges(self):
-        db = make_db()
-        registry = db.observability.registry
-        assert registry.value("repro_lock_readers") == 0
-        assert registry.value("repro_lock_writer_held") == 0
-        with db.rwlock.read_locked():
-            assert registry.value("repro_lock_readers") == 1
-        with db.rwlock.write_locked():
-            assert registry.value("repro_lock_writer_held") == 1
-
-    def test_holders_snapshot(self):
-        db = make_db()
-        holders = db.rwlock.holders()
-        assert holders == {"active_readers": 0, "waiting_writers": 0,
-                           "writer_held": False}
+        count_before = lock_wait.count()
+        # MVCC: queries pin snapshots and never touch the writer mutex;
+        # only the writer path (insert) adds to the histogram.
+        db.query("//last")
+        assert lock_wait.count() == count_before
+        db.insert("/bib", "<book><title>New</title></book>")
+        assert lock_wait.count() == count_before + 1
 
 
 class TestSlowQueryLogThroughEngine:

@@ -6,7 +6,7 @@ node-at-a-time strategies (navigational, TwigStack, partitioned NoK)
 and to the reference evaluator — across a fixture document, randomized
 documents, and the documented edge cases (empty postings, root-only
 matches, text-predicate windows, sibling edges).  Plus the engine
-wiring: the ``columnar`` knob, strategy-memo keying, update
+wiring: per-query ``strategy="columnar"``, strategy-memo keying, update
 invalidation of the cached column view, and the observability surface.
 """
 
@@ -277,47 +277,26 @@ class TestEligibilityAndFallback:
 
 
 class TestKnobAndMemo:
-    def test_knob_validation(self):
-        with pytest.raises(ExecutionError):
-            Database(columnar="sometimes")
-        database = Database()
-        with pytest.raises(ExecutionError):
-            database.set_columnar("sometimes")
-
     def test_forced_on_uses_columnar(self):
-        database = Database(columnar="on", result_cache_size=0)
-        database.load(SAMPLE, uri="site.xml")
-        assert database.query("//item/name").strategy == "columnar"
-
-    def test_off_never_plans_columnar(self):
-        database = Database(columnar="off", result_cache_size=0)
-        database.load(SAMPLE, uri="site.xml")
-        for query in QUERIES[:8]:
-            assert database.query(query).strategy != "columnar"
-
-    def test_memo_key_includes_knob(self):
-        """Satellite fix: toggling the knob at runtime must never serve
-        a stale memoized choice from the other mode."""
-        database = Database(columnar="on", result_cache_size=0)
-        database.load(SAMPLE, uri="site.xml")
-        assert database.query("//item/name").strategy == "columnar"
-        database.set_columnar("off")
-        assert database.query("//item/name").strategy != "columnar"
-        database.set_columnar("on")
-        assert database.query("//item/name").strategy == "columnar"
-        document = database.document()
-        modes = {key[2] for key in document.strategy_memo}
-        assert {"on", "off"} <= modes
-        # Generation stays at index 1 (the serving-layer contract).
-        for key in document.strategy_memo:
-            assert key[1] == document.statistics.generation
-
-    def test_explicit_strategy_overrides_off(self):
-        database = Database(columnar="off", result_cache_size=0)
+        database = Database(result_cache_size=0)
         database.load(SAMPLE, uri="site.xml")
         result = database.query("//item/name", strategy="columnar")
         assert result.strategy == "columnar"
+
+    def test_explicit_strategy_overrides_auto(self):
+        database = Database(result_cache_size=0)
+        database.load(SAMPLE, uri="site.xml")
+        database.query("//item/name")          # memoizes the auto choice
+        result = database.query("//item/name", strategy="columnar")
+        assert result.strategy == "columnar"
         assert len(result.items) == 4
+        document = database.document()
+        assert document.strategy_memo
+        # Memo keys are (signature, generation): the generation sits at
+        # index 1 (the serving-layer contract).
+        for key in document.strategy_memo:
+            assert len(key) == 2
+            assert key[1] == document.statistics.generation
 
 
 class TestViewLifecycle:
@@ -371,14 +350,14 @@ class TestViewLifecycle:
         assert result.values() == reference and reference
 
     def test_update_invalidates_view(self):
-        database = Database(columnar="on", result_cache_size=0)
+        database = Database(result_cache_size=0)
         database.load("<r><a><b/></a></r>", uri="u.xml")
         runtime = database.document().runtime
-        before = database.query("//b").items
+        before = database.query("//b", strategy="columnar").items
         assert len(before) == 1
         assert runtime.column_builds == 1
         database.insert("/r/a", "<b/>")
-        after = database.query("//b")
+        after = database.query("//b", strategy="columnar")
         assert after.strategy == "columnar"
         assert len(after.items) == 2
         # MVCC: the insert published a successor version with its own
@@ -390,25 +369,26 @@ class TestViewLifecycle:
         assert runtime.column_builds == 1
 
     def test_delete_invalidates_view(self):
-        database = Database(columnar="on", result_cache_size=0)
+        database = Database(result_cache_size=0)
         database.load("<r><a><b/></a><a><b/></a></r>", uri="u.xml")
-        assert len(database.query("//b").items) == 2
+        assert len(database.query("//b", strategy="columnar").items) == 2
         database.delete("/r/a[2]")
-        assert len(database.query("//b").items) == 1
+        assert len(database.query("//b", strategy="columnar").items) == 1
 
     def test_observability_counters(self):
-        database = Database(columnar="on", result_cache_size=0)
+        database = Database(result_cache_size=0)
         database.load(SAMPLE, uri="site.xml")
-        database.query("//item/name")
+        database.query("//item/name", strategy="columnar")
         text = database.metrics_text()
         assert "repro_columnar_view_builds_total" in text
         assert "repro_columnar_view_bytes" in text
         assert 'repro_queries_total{strategy="columnar"' in text
 
     def test_explain_analyze_reports_columnar(self):
-        database = Database(columnar="on", result_cache_size=0)
+        database = Database(result_cache_size=0)
         database.load(SAMPLE, uri="site.xml")
-        analysis = database.explain("//item/name", analyze=True)
+        analysis = database.explain("//item/name", strategy="columnar",
+                                     analyze=True)
         rendered = str(analysis)
         assert "columnar" in rendered
         records = [r for r in analysis.operators
