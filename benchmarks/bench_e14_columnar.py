@@ -38,9 +38,9 @@ if __package__ in (None, ""):  # direct `python benchmarks/bench_...py` run
 from benchmarks.common import RESULTS_DIR, format_table, publish, timed
 from repro.engine.database import Database
 from repro.algebra.pattern_graph import compile_path
+from repro.baselines.navigational import NavigationalMatcher
+from repro.baselines.twigstack import TwigStackJoin
 from repro.physical.columnar import ColumnarMatcher, columnar_eligible
-from repro.physical.navigational import NavigationalMatcher
-from repro.physical.twigstack import TwigStackJoin
 from repro.workload import LINEAR_PATHS, TWIG_QUERIES, generate_xmark
 from repro.xpath.parser import parse_xpath
 

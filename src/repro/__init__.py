@@ -11,9 +11,10 @@ The library implements the paper's full system, from scratch:
 * the **succinct physical storage** of Section 4 (balanced parentheses +
   tags, separated content store) next to interval-encoded relational
   baselines,
-* the **NoK single-scan pattern matcher** with its partitioner, plus the
-  join-based baselines of the literature (stack-tree joins, PathStack,
-  TwigStack), a navigational evaluator, and an index-scan path,
+* the **NoK single-scan pattern matcher** with its partitioner, a
+  columnar semi-join path and an index-scan path, plus the join-based
+  baselines of the literature (stack-tree joins, PathStack, TwigStack)
+  and a navigational evaluator in :mod:`repro.baselines`,
 * a query engine tying it together behind one facade.
 
 Quick start::

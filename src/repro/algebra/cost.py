@@ -7,21 +7,21 @@ Two halves:
   (parent-tag, child-tag) edge counts, ``//`` edges the (ancestor,
   descendant) pair counts, value constraints the uniform-distinct-values
   selectivity.
-* **strategy costing** — page-oriented formulas for each physical
+* **strategy costing** — page-oriented formulas for each serving
   strategy, mirroring what the operators actually charge to the
   :class:`~repro.storage.pages.PageManager`:
 
-  - ``nok``: one sequential scan of the structure segment (plus output);
-  - ``structural-join``: posting-list pages for every pattern vertex plus
-    merge work proportional to the intermediate-list sizes;
-  - ``twigstack``: posting-list pages plus solution-list work;
-  - ``navigational``: touches proportional to the whole node count
-    (node-at-a-time traversal);
+  - ``nok`` / ``partitioned``: one sequential scan of the structure
+    segment (plus a merge per cut edge for ``partitioned``);
+  - ``columnar``: posting-list pages for every pattern vertex plus a
+    bisect/set probe per posting;
   - ``index-scan`` (value predicates): B+ tree descent plus one page per
     matching posting.
 
-The planner (engine) asks :meth:`CostModel.cheapest_strategy`; experiment
-E5 verifies the model picks the right side of the selectivity crossover.
+The join-based and navigational baselines (:mod:`repro.baselines`) are
+not priced: ``auto`` never serves with them.  The planner asks
+:meth:`CostModel.cheapest_strategy`; experiment E5 verifies the model
+picks the right side of the selectivity crossover.
 """
 
 from __future__ import annotations
@@ -183,43 +183,14 @@ class CostModel:
         return CostEstimate("partitioned", pages=self._structure_pages(),
                             cpu=cpu)
 
-    def structural_join_cost(self, pattern: PatternGraph) -> CostEstimate:
-        """Posting fetch per vertex plus pairwise merges (intermediate
-        lists can blow up on deep chains)."""
-        pages = 0.0
-        cpu = 0.0
-        for vertex_id, vertex in pattern.vertices.items():
-            if vertex_id == pattern.root:
-                continue
-            count = self._vertex_posting_count(pattern, vertex_id)
-            pages += self._posting_pages(count)
-            cpu += count
-        for edge in pattern.edges:
-            left = self._vertex_posting_count(pattern, edge.source)
-            right = self._vertex_posting_count(pattern, edge.target)
-            cpu += left + right
-        return CostEstimate("structural-join", pages=pages, cpu=cpu)
-
-    def twigstack_cost(self, pattern: PatternGraph) -> CostEstimate:
-        """Posting fetch per vertex; solution work linear in inputs."""
-        pages = 0.0
-        cpu = 0.0
-        for vertex_id in pattern.vertices:
-            if vertex_id == pattern.root:
-                continue
-            count = self._vertex_posting_count(pattern, vertex_id)
-            pages += self._posting_pages(count)
-            cpu += count
-        return CostEstimate("twigstack", pages=pages, cpu=cpu)
-
     def columnar_cost(self, pattern: PatternGraph):
-        """Vectorized semi-joins over label columns: the same posting
-        pages as the holistic joins, but the per-entry CPU constant is a
-        bisect/set probe instead of node-at-a-time dispatch.  A vertex
+        """Vectorized semi-joins over label columns: one posting read
+        per pattern vertex, and a per-entry CPU constant of a bisect/set
+        probe instead of node-at-a-time dispatch.  A vertex
         with residual predicates pays the reference evaluator once per
         candidate in its window (the batch post-filter), which is
         orders of magnitude above a bisect probe — the heavy per-entry
-        weight keeps ``auto`` mode from picking the columnar path when
+        weight keeps ``auto`` from picking the columnar path when
         a big window must be residual-checked.  Returns ``None`` for
         patterns the batch kernels cannot evaluate."""
         from repro.physical.columnar import columnar_eligible
@@ -237,14 +208,6 @@ class CostModel:
             if vertex.residual:
                 cpu += 50.0 * count * len(vertex.residual)
         return CostEstimate("columnar", pages=pages, cpu=cpu)
-
-    def navigational_cost(self, pattern: PatternGraph) -> CostEstimate:
-        """Node-at-a-time traversal of the whole tree (the commercial
-        native-system stand-in)."""
-        nodes = float(self.stats.node_count)
-        return CostEstimate("navigational",
-                            pages=max(1.0, nodes * 24 / _PAGE_BYTES),
-                            cpu=4.0 * nodes)
 
     def index_scan_cost(self, pattern: PatternGraph) -> CostEstimate:
         """Content-index driven: only meaningful when some vertex has an
@@ -285,29 +248,18 @@ class CostModel:
             return float(self.stats.node_count)
         return float(sum(self.stats.count(tag) for tag in tags))
 
-    def all_costs(self, pattern: PatternGraph,
-                  include_columnar: bool = False) -> list[CostEstimate]:
-        """Every finite strategy estimate.  ``include_columnar`` opts the
-        vectorized path into the comparison (the physical planner always
-        does; the paper-era experiments compare without it)."""
+    def all_costs(self, pattern: PatternGraph) -> list[CostEstimate]:
+        """Every finite serving-strategy estimate (scan first, so a tie
+        goes to the scan)."""
         estimates = [
             self.nok_cost(pattern) if pattern.is_nok() else
             self.partitioned_cost(pattern),
-            self.structural_join_cost(pattern),
-            self.twigstack_cost(pattern),
-            self.navigational_cost(pattern),
             self.index_scan_cost(pattern),
+            self.columnar_cost(pattern),
         ]
-        if include_columnar:
-            estimates.append(self.columnar_cost(pattern))
         return [e for e in estimates if e is not None
                 and e.total != float("inf")]
 
-    def cheapest_strategy(self, pattern: PatternGraph,
-                          include_columnar: bool = False) -> str:
+    def cheapest_strategy(self, pattern: PatternGraph) -> str:
         """The strategy the optimizer would pick for this pattern."""
-        estimates = self.all_costs(pattern,
-                                   include_columnar=include_columnar)
-        if not estimates:  # pragma: no cover - navigational always finite
-            return "navigational"
-        return min(estimates, key=lambda e: e.total).strategy
+        return min(self.all_costs(pattern), key=lambda e: e.total).strategy

@@ -26,7 +26,7 @@ from repro.physical.base import (
     OperatorStats,
     single_output_vertex,
 )
-from repro.physical.structural_join import BinaryJoinMatcher
+from repro.baselines.structural_join import BinaryJoinMatcher
 
 __all__ = ["PathStackJoin"]
 

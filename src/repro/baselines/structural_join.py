@@ -138,14 +138,9 @@ class BinaryJoinMatcher:
     while paying the join-per-edge cost the paper's Section 4.1 critiques.
     """
 
-    def __init__(self, pattern: PatternGraph,
-                 posting_overrides: Optional[dict[int, list[IntervalNode]]]
-                 = None, reorder: bool = True):
+    def __init__(self, pattern: PatternGraph, reorder: bool = True):
         self.pattern = pattern
         self.stats = OperatorStats()
-        # vertex id -> replacement posting list (index-scan strategies
-        # substitute a tiny candidate list for one vertex).
-        self.posting_overrides = posting_overrides or {}
         # Structural join order selection (Wu/Patel/Jagadish, ICDE 2003,
         # the paper's reference [5]): semi-join against the smallest
         # candidate lists first so later joins see reduced inputs.
@@ -190,12 +185,8 @@ class BinaryJoinMatcher:
             if vertex_id == pattern.root:
                 candidates[vertex_id] = [root_record]
                 continue
-            if vertex_id in self.posting_overrides:
-                postings = self.posting_overrides[vertex_id]
-            else:
-                postings = self._postings_for(runtime, vertex)
             kept = []
-            for record in postings:
+            for record in self._postings_for(runtime, vertex):
                 self.stats.postings_scanned += 1
                 if record.pre < root_record.pre \
                         or record.pre > root_record.end:

@@ -29,7 +29,7 @@ from repro.physical.base import (
     OperatorStats,
     single_output_vertex,
 )
-from repro.physical.structural_join import BinaryJoinMatcher, StackTreeJoin
+from repro.baselines.structural_join import BinaryJoinMatcher, StackTreeJoin
 
 __all__ = ["TwigStackJoin"]
 

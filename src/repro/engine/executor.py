@@ -3,7 +3,7 @@
 :func:`run_plan` executes a logical plan exactly like
 :func:`repro.algebra.plan.execute_plan`, except that every **τ** node is
 dispatched to the physical planner — NoK scan, partitioned NoK + joins,
-structural joins, PathStack, TwigStack, navigational, or index-scan —
+columnar semi-joins or index-scan (or a baseline forced by name) —
 against the loaded document's storage, and the resulting pre-order ids are
 materialised back to model nodes so the rest of the plan (list operators,
 FLWOR machinery, γ) is storage-agnostic.
@@ -185,8 +185,7 @@ class PhysicalExecutionContext(ExecutionContext):
         if cost_model is not None:
             try:
                 est_rows = cost_model.result_cardinality(plan.pattern)
-                for estimate in cost_model.all_costs(
-                        plan.pattern, include_columnar=True):
+                for estimate in cost_model.all_costs(plan.pattern):
                     if estimate.strategy == used:
                         est_pages = estimate.pages
                         break

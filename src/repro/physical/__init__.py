@@ -8,40 +8,27 @@ succinct storage — no structural joins.  General patterns are split by the
 units whose partial results are combined with structural joins, "just as
 in the join-based approach" (Section 4.2).
 
-The join-based baselines from the literature are implemented in full:
-
-* :mod:`repro.physical.structural_join` — the stack-tree binary join
-  (Al-Khalifa et al., ICDE 2002),
-* :mod:`repro.physical.pathstack` — the PathStack holistic path join,
-* :mod:`repro.physical.twigstack` — the TwigStack holistic twig join
-  (Bruno et al., SIGMOD 2002),
-
-plus :mod:`repro.physical.navigational` — the node-at-a-time traversal
-standing in for the commercial native system of the paper's experiments.
-
-:mod:`repro.physical.planner` lowers a logical τ to the cheapest strategy
-using the cost model; every strategy is differential-tested against the
+Together with the cost-chosen **columnar** path
+(:mod:`repro.physical.columnar`, batch semi-joins over label columns) and
+the content-index **index-scan** (:mod:`repro.physical.indexscan`, which
+verifies its probe hits on the columnar kernels), these are the serving
+strategies: the only ones :mod:`repro.physical.planner` prices and picks
+for ``auto``.  The join-based and navigational baselines the paper
+compares against live in :mod:`repro.baselines`; the planner dispatches
+to them by name only.  Every strategy is differential-tested against the
 reference evaluator.
 """
 
 from repro.physical.base import MatchRuntime, OperatorStats
-from repro.physical.navigational import NavigationalMatcher
 from repro.physical.nok import NoKMatcher
 from repro.physical.partition import PartitionedMatcher, partition_pattern
-from repro.physical.pathstack import PathStackJoin
 from repro.physical.planner import PhysicalPlanner
-from repro.physical.structural_join import StackTreeJoin
-from repro.physical.twigstack import TwigStackJoin
 
 __all__ = [
     "MatchRuntime",
-    "NavigationalMatcher",
     "NoKMatcher",
     "OperatorStats",
     "PartitionedMatcher",
-    "PathStackJoin",
     "PhysicalPlanner",
-    "StackTreeJoin",
-    "TwigStackJoin",
     "partition_pattern",
 ]

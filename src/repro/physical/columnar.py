@@ -18,7 +18,7 @@ kernels** over the flat pre-order columns of
   mirrored from the bottom-up tables).
 
 The two passes are exactly the reduction
-:class:`~repro.physical.structural_join.BinaryJoinMatcher` performs with
+:class:`~repro.baselines.structural_join.BinaryJoinMatcher` performs with
 one stack-tree join per edge, so for a single output vertex the result
 is the pattern answer, item for item — but every loop body here is a
 ``bisect`` call, a set probe, or a dict lookup over machine integers, so
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from typing import Optional
 
 from repro.errors import ExecutionError
 from repro.algebra.pattern_graph import (
@@ -79,9 +80,13 @@ def columnar_eligible(pattern: PatternGraph) -> bool:
 class ColumnarMatcher:
     """Batch semi-join evaluation of a pattern over label columns."""
 
-    def __init__(self, pattern: PatternGraph):
+    def __init__(self, pattern: PatternGraph,
+                 candidate_overrides: Optional[dict[int, list[int]]] = None):
         self.pattern = pattern
         self.stats = OperatorStats()
+        # vertex id -> sorted pre ids replacing that vertex's postings
+        # (index-scan substitutes its probe hits for the probed vertex).
+        self.candidate_overrides = candidate_overrides or {}
 
     def run(self, runtime: MatchRuntime, root: int = 0) -> list[int]:
         """Distinct pre-order ids matching the output vertex, in
@@ -136,7 +141,9 @@ class ColumnarMatcher:
             if vertex_id == pattern.root:
                 window = [root_pre]
             else:
-                pres = self._vertex_pres(runtime, view, vertex)
+                pres = self.candidate_overrides.get(vertex_id)
+                if pres is None:
+                    pres = self._vertex_pres(runtime, view, vertex)
                 # Shrink to the context window with two probes;
                 # everything outside (root_pre, root_end] can never
                 # join.

@@ -10,7 +10,8 @@ with an equality value constraint, it
 2. maps them to candidate matches of the constrained vertex (the
    attribute node itself, or the text node's parent element, verified
    against the full string value);
-3. finishes with the structural semi-join machinery, substituting the
+3. finishes on the columnar semi-join kernels
+   (:class:`~repro.physical.columnar.ColumnarMatcher`), substituting the
    tiny candidate list for that vertex's posting list.
 
 Range predicates (``<``, ``<=``, ``>``, ``>=`` against numeric literals)
@@ -26,14 +27,14 @@ from __future__ import annotations
 from repro.errors import ExecutionError
 from repro.algebra.pattern_graph import PatternGraph, PatternVertex
 from repro.physical.base import MatchRuntime, OperatorStats
-from repro.physical.structural_join import BinaryJoinMatcher
+from repro.physical.columnar import ColumnarMatcher
 from repro.storage.succinct import KIND_ATTRIBUTE, KIND_TEXT
 
 __all__ = ["IndexScanMatcher"]
 
 
 class IndexScanMatcher:
-    """B+-tree probe + structural verification."""
+    """B+-tree probe + columnar structural verification."""
 
     def __init__(self, pattern: PatternGraph):
         self.pattern = pattern
@@ -90,18 +91,17 @@ class IndexScanMatcher:
                 runtime.charge_random_node(node)
                 if not runtime.vertex_accepts(vertex, node):
                     continue
-                candidates.append(runtime.interval.node(node))
-        candidates.sort(key=lambda record: record.pre)
+                candidates.append(node)
+        candidates.sort()
         self.stats.intermediate_results += len(candidates)
 
-        matcher = BinaryJoinMatcher(
+        matcher = ColumnarMatcher(
             self.pattern,
-            posting_overrides={vertex.vertex_id: candidates})
+            candidate_overrides={vertex.vertex_id: candidates})
         result = matcher.run(runtime, root=root)
         self.stats.merge(matcher.stats)
         self.stats.solutions = len(result)
         return result
-
 
     def _check_probe_is_lossless(self, runtime: MatchRuntime,
                                  vertex: PatternVertex) -> None:

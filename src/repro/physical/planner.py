@@ -1,23 +1,30 @@
 """The physical planner: lower a pattern graph to a strategy.
 
-Strategies (the names the engine and benchmarks use):
+Serving strategies — the only ones the cost model prices, so the only
+ones ``auto`` picks:
 
 =================  ======================================================
 ``nok``            single-scan NoK matcher (NoK patterns only)
 ``partitioned``    NoK partitions + structural joins (any pattern)
+``columnar``       vectorized semi-joins over label columns
+``index-scan``     content B+ tree probe + columnar verification
+``auto``           cost-model choice (:class:`repro.algebra.cost.CostModel`)
+=================  ======================================================
+
+Forced-only baselines (:mod:`repro.baselines`), run by name for the
+paper's comparisons and never chosen by ``auto``:
+
+=================  ======================================================
 ``structural-join``one stack-tree join per edge
 ``pathstack``      holistic path join (linear patterns)
 ``twigstack``      holistic twig join (branching patterns)
 ``navigational``   node-at-a-time traversal (commercial stand-in)
-``index-scan``     content B+ tree probe + verification
-``columnar``       vectorized semi-joins over label columns
-``auto``           cost-model choice (:class:`repro.algebra.cost.CostModel`)
 =================  ======================================================
 
-``auto`` consults the cost model — the vectorized ``columnar`` path
-competes on cost with the others — then falls back gracefully when the
-chosen strategy cannot express the pattern (e.g. PathStack on a twig).
-Any strategy can also be requested by name for one query.
+A strategy that cannot express the pattern (PathStack on a twig,
+index-scan without a value constraint or over fragmented values, ...)
+raises :class:`~repro.errors.ExecutionError`; :meth:`PhysicalPlanner.match`
+then falls back to ``nok``/``partitioned``.
 """
 
 from __future__ import annotations
@@ -27,21 +34,32 @@ from typing import Optional
 from repro.errors import ExecutionError, PlanError
 from repro.algebra.cost import CostModel
 from repro.algebra.pattern_graph import PatternGraph
+from repro.baselines.navigational import NavigationalMatcher
+from repro.baselines.pathstack import PathStackJoin
+from repro.baselines.structural_join import BinaryJoinMatcher
+from repro.baselines.twigstack import TwigStackJoin
 from repro.physical.base import MatchRuntime, OperatorStats
 from repro.physical.columnar import ColumnarMatcher
 from repro.physical.indexscan import IndexScanMatcher
-from repro.physical.navigational import NavigationalMatcher
 from repro.physical.nok import NoKMatcher
 from repro.physical.partition import PartitionedMatcher
-from repro.physical.pathstack import PathStackJoin
-from repro.physical.structural_join import BinaryJoinMatcher
-from repro.physical.twigstack import TwigStackJoin
 
 __all__ = ["PhysicalPlanner", "STRATEGIES"]
 
 STRATEGIES = ("nok", "partitioned", "structural-join", "pathstack",
               "twigstack", "navigational", "index-scan", "columnar",
               "auto")
+
+# Every strategy but ``nok`` (single-output special case) and ``auto``.
+_MATCHERS = {
+    "partitioned": PartitionedMatcher,
+    "structural-join": BinaryJoinMatcher,
+    "pathstack": PathStackJoin,
+    "twigstack": TwigStackJoin,
+    "navigational": NavigationalMatcher,
+    "index-scan": IndexScanMatcher,
+    "columnar": ColumnarMatcher,
+}
 
 
 class PhysicalPlanner:
@@ -110,13 +128,7 @@ class PhysicalPlanner:
     def _choose_uncached(self, pattern: PatternGraph) -> str:
         if self.cost_model is None:
             return "nok" if pattern.is_nok() else "partitioned"
-        choice = self.cost_model.cheapest_strategy(
-            pattern, include_columnar=True)
-        if choice == "structural-join" and pattern.is_nok():
-            choice = "nok"  # cost ties favour the native scan
-        if choice == "twigstack" and self._is_linear(pattern):
-            choice = "pathstack"
-        return choice
+        return self.cost_model.cheapest_strategy(pattern)
 
     def match(self, pattern: PatternGraph, runtime: MatchRuntime,
               root: int = 0, strategy: str = "auto"
@@ -136,8 +148,9 @@ class PhysicalPlanner:
         except ExecutionError:
             if strategy in ("nok", "partitioned"):
                 raise
-            # The costed choice could not express the pattern
-            # (multi-output, branching for pathstack, ...): fall back.
+            # The strategy could not express the pattern (a forced
+            # baseline's shape limit, index-scan's lossy-value refusal,
+            # ...): fall back.
             fallback = "nok" if pattern.is_nok() else "partitioned"
             result = self._dispatch(pattern, runtime, root, fallback)
             if was_auto:
@@ -169,11 +182,9 @@ class PhysicalPlanner:
     def _dispatch(self, pattern: PatternGraph, runtime: MatchRuntime,
                   root: int, strategy: str
                   ) -> tuple[list[int], OperatorStats, str]:
+        if strategy == "nok" and not pattern.is_nok():
+            strategy = "partitioned"  # NoK needs a NoK pattern
         if strategy == "nok":
-            if not pattern.is_nok():
-                matcher = PartitionedMatcher(pattern)
-                return (matcher.run(runtime, root=root), matcher.stats,
-                        "partitioned")
             nok = NoKMatcher(pattern, anchored=True)
             bindings = nok.run(runtime, root=root)
             output_ids = [v.vertex_id for v in pattern.output_vertices()]
@@ -185,30 +196,5 @@ class PhysicalPlanner:
                               if output_ids[0] in binding})
             nok.stats.solutions = len(matches)
             return matches, nok.stats, "nok"
-        if strategy == "partitioned":
-            matcher = PartitionedMatcher(pattern)
-            return matcher.run(runtime, root=root), matcher.stats, strategy
-        if strategy == "structural-join":
-            matcher = BinaryJoinMatcher(pattern)
-            return matcher.run(runtime, root=root), matcher.stats, strategy
-        if strategy == "pathstack":
-            matcher = PathStackJoin(pattern)
-            return matcher.run(runtime, root=root), matcher.stats, strategy
-        if strategy == "twigstack":
-            matcher = TwigStackJoin(pattern)
-            return matcher.run(runtime, root=root), matcher.stats, strategy
-        if strategy == "navigational":
-            matcher = NavigationalMatcher(pattern)
-            return matcher.run(runtime, root=root), matcher.stats, strategy
-        if strategy == "columnar":
-            matcher = ColumnarMatcher(pattern)
-            return matcher.run(runtime, root=root), matcher.stats, strategy
-        if strategy == "index-scan":
-            matcher = IndexScanMatcher(pattern)
-            return matcher.run(runtime, root=root), matcher.stats, strategy
-        raise PlanError(f"unknown strategy {strategy!r}")  # pragma: no cover
-
-    @staticmethod
-    def _is_linear(pattern: PatternGraph) -> bool:
-        return all(len(pattern.children_of(vid)) <= 1
-                   for vid in pattern.vertices)
+        matcher = _MATCHERS[strategy](pattern)
+        return matcher.run(runtime, root=root), matcher.stats, strategy

@@ -4,10 +4,11 @@ The centrepiece is the **succinct storage scheme**: tree structure is
 linearised in pre-order as a balanced-parentheses sequence with a parallel
 tag array, and element contents are stored *separately* in a content store
 (Section 4.2: "schema information ... and data information ... are stored
-separately").  Baselines from the extended-relational world (interval /
-pre-post-level encoding, shredded node tables) live here too, as does the
-access-method substrate they share: a B+ tree and a counting page manager
-that stands in for disk I/O.
+separately").  The interval (pre-post-level) encoding of the
+extended-relational world lives here too, as does the access-method
+substrate it shares: a B+ tree and a counting page manager that stands
+in for disk I/O.  The shredded node table of the extended-relational
+path is a baseline (:mod:`repro.baselines.relational`).
 
 Modules
 -------
@@ -18,7 +19,6 @@ Modules
 ``content``          the separated content store with a value index
 ``tagindex``         tag -> pre-order postings (input lists for joins)
 ``interval``         pre/post/level interval encoding (relational baseline)
-``relational``       shredded node table for the extended-relational path
 ``btree``            a from-scratch B+ tree
 ``pages``            page manager + LRU buffer pool with I/O counters
 ``stats``            document statistics feeding the cost model
@@ -30,7 +30,6 @@ from repro.storage.btree import BPlusTree
 from repro.storage.content import ContentStore
 from repro.storage.interval import IntervalDocument, IntervalNode
 from repro.storage.pages import BufferPool, IOCounters, PageManager
-from repro.storage.relational import NodeTable
 from repro.storage.stats import DocumentStatistics
 from repro.storage.succinct import SuccinctDocument
 from repro.storage.tagindex import TagIndex
@@ -46,7 +45,6 @@ __all__ = [
     "IntervalDocument",
     "IntervalNode",
     "IOCounters",
-    "NodeTable",
     "PageManager",
     "SuccinctDocument",
     "TagIndex",

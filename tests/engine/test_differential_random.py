@@ -61,7 +61,8 @@ def keys(items):
 
 
 @given(documents(), st.sampled_from(_XPATH_QUERIES),
-       st.sampled_from(["nok", "structural-join", "twigstack",
+       st.sampled_from(["nok", "partitioned", "columnar", "index-scan",
+                        "structural-join", "pathstack", "twigstack",
                         "navigational", "auto"]))
 @settings(max_examples=60, deadline=None)
 def test_xpath_differential(text, query, strategy):

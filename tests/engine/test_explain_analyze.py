@@ -60,10 +60,23 @@ class TestExplainAnalyze:
             assert record.strategy == strategy
 
     def test_est_pages_present_for_costed_strategy(self, db):
-        analysis = db.explain(QUERY, strategy="twigstack", analyze=True)
+        analysis = db.explain(QUERY, strategy="columnar", analyze=True)
         record = analysis.operators[0]
+        assert record.strategy == "columnar"
         assert record.est_pages is not None
         assert record.est_pages >= 0
+
+    def test_forced_baseline_has_no_page_estimate(self, db):
+        # The cost model prices serving strategies only.
+        analysis = db.explain(QUERY, strategy="twigstack", analyze=True)
+        record = analysis.operators[0]
+        assert record.strategy == "twigstack"
+        assert record.est_pages is None
+        lines = str(analysis).splitlines()
+        header = next(line for line in lines if line.startswith("operator"))
+        row = next(line for line in lines
+                   if line.startswith(record.operator))
+        assert row[header.index("est.pages"):].split()[0] == "-"
 
     def test_join_strategy_reports_join_actuals(self, db):
         analysis = db.explain(QUERY, strategy="structural-join",

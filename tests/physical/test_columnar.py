@@ -18,11 +18,11 @@ from repro.engine.database import Database
 from repro.errors import ExecutionError
 from repro.algebra.cost import CostModel
 from repro.algebra.pattern_graph import compile_path
+from repro.baselines.navigational import NavigationalMatcher
+from repro.baselines.twigstack import TwigStackJoin
 from repro.physical.columnar import ColumnarMatcher, columnar_eligible
-from repro.physical.navigational import NavigationalMatcher
 from repro.physical.partition import PartitionedMatcher
 from repro.physical.planner import STRATEGIES, PhysicalPlanner
-from repro.physical.twigstack import TwigStackJoin
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import evaluate_xpath
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.database import Database
+from repro.algebra.cost import CostModel
 from repro.algebra.operators import TreePatternMatch
 from repro.algebra.pattern_graph import (
     REL_ATTRIBUTE,
@@ -18,14 +19,16 @@ from repro.algebra.pattern_graph import (
     REL_DESCENDANT,
     PatternGraph,
 )
-from repro.physical.navigational import NavigationalMatcher
+from repro.baselines.navigational import NavigationalMatcher
+from repro.baselines.structural_join import BinaryJoinMatcher
+from repro.baselines.twigstack import TwigStackJoin
 from repro.physical.nok import NoKMatcher
 from repro.physical.partition import PartitionedMatcher
-from repro.physical.structural_join import BinaryJoinMatcher
-from repro.physical.twigstack import TwigStackJoin
+from repro.physical.planner import PhysicalPlanner
 
 _TAGS = ["a", "b", "c"]
 _ATTRS = ["k", "m"]
+_SERVING = {"nok", "partitioned", "columnar", "index-scan"}
 
 
 @st.composite
@@ -115,3 +118,15 @@ def test_all_strategies_match_logical_tau(text, pattern):
     else:
         assert PartitionedMatcher(pattern).run(runtime) == expected, \
             "partitioned"
+
+
+@given(random_documents(), random_patterns())
+@settings(max_examples=200, deadline=None)
+def test_auto_picks_only_serving_strategies(text, pattern):
+    """The cost model prices serving strategies only, so ``auto`` never
+    resolves to a baseline — not even on a zero-cost tie, where no tag
+    of the pattern occurs in the document."""
+    database = Database()
+    database.load(text, uri="r.xml")
+    planner = PhysicalPlanner(CostModel(database.document().statistics))
+    assert planner.choose(pattern) in _SERVING

@@ -15,13 +15,13 @@ from repro.engine.database import Database
 from repro.engine.mapping import storage_preorder_map
 from repro.errors import ExecutionError
 from repro.algebra.pattern_graph import compile_path
+from repro.baselines.navigational import NavigationalMatcher
+from repro.baselines.pathstack import PathStackJoin
+from repro.baselines.structural_join import BinaryJoinMatcher
+from repro.baselines.twigstack import TwigStackJoin
 from repro.physical.indexscan import IndexScanMatcher
-from repro.physical.navigational import NavigationalMatcher
 from repro.physical.nok import NoKMatcher
 from repro.physical.partition import PartitionedMatcher
-from repro.physical.pathstack import PathStackJoin
-from repro.physical.structural_join import BinaryJoinMatcher
-from repro.physical.twigstack import TwigStackJoin
 from repro.xml.parser import parse
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import evaluate_xpath

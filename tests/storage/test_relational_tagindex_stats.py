@@ -3,9 +3,9 @@
 import pytest
 
 from repro.xml.parser import parse
+from repro.baselines.relational import NodeTable
 from repro.storage.interval import IntervalDocument
 from repro.storage.pages import PageManager
-from repro.storage.relational import NodeTable
 from repro.storage.stats import DocumentStatistics
 from repro.storage.tagindex import TagIndex
 
