@@ -7,7 +7,7 @@ Two halves:
   (parent-tag, child-tag) edge counts, ``//`` edges the (ancestor,
   descendant) pair counts, value constraints the uniform-distinct-values
   selectivity.
-* **strategy costing** — page-oriented formulas for each serving
+* **strategy costing** — page and CPU formulas for each serving
   strategy, mirroring what the operators actually charge to the
   :class:`~repro.storage.pages.PageManager`:
 
@@ -18,10 +18,18 @@ Two halves:
   - ``index-scan`` (value predicates): B+ tree descent plus one page per
     matching posting.
 
+Pages are priced by their expected buffer-pool miss rate: an estimate
+totals ``pages * miss_rate + cpu / 10_000``.  A bare
+``CostModel(stats)`` keeps ``miss_rate = 1.0`` — the paper's cold-disk
+setting, where one page read outweighs 10,000 node visits and the
+single structure scan wins local paths.  The engine passes the rate its
+pool implies for the document (:func:`repro.storage.pages.miss_rate`);
+on a resident document that rate is 0 and the lowest-CPU strategy wins.
+
 The join-based and navigational baselines (:mod:`repro.baselines`) are
 not priced: ``auto`` never serves with them.  The planner asks
-:meth:`CostModel.cheapest_strategy`; experiment E5 verifies the model
-picks the right side of the selectivity crossover.
+:meth:`CostModel.cheapest_strategy`; experiment E5 verifies the bare
+(cold) model picks the right side of the selectivity crossover.
 """
 
 from __future__ import annotations
@@ -45,23 +53,34 @@ _STRUCTURE_BITS_PER_NODE = 2 + 8   # BP bits + tag/kind budget
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """A strategy's estimated page I/O and CPU work."""
+    """A strategy's estimated page I/O and CPU work, and the expected
+    fraction of those pages that miss the buffer pool."""
 
     strategy: str
     pages: float
     cpu: float
+    miss_rate: float = 1.0
 
     @property
     def total(self) -> float:
-        """Single comparable figure: pages dominate, CPU tie-breaks."""
-        return self.pages + self.cpu / 10_000.0
+        """Single comparable figure: page misses plus CPU.  Cold
+        (``miss_rate`` 1.0) pages dominate and CPU tie-breaks; on a
+        resident document (0.0) CPU decides alone."""
+        # An inexpressible strategy has infinite pages; inf * 0 is NaN.
+        misses = self.pages * self.miss_rate if self.miss_rate else 0.0
+        return misses + self.cpu / 10_000.0
 
 
 class CostModel:
-    """Cardinality and strategy costing over one document's statistics."""
+    """Cardinality and strategy costing over one document's statistics.
 
-    def __init__(self, stats: DocumentStatistics):
+    ``miss_rate`` is the expected share of charged pages that miss the
+    buffer pool (1.0, the default, prices every page as a disk read).
+    """
+
+    def __init__(self, stats: DocumentStatistics, miss_rate: float = 1.0):
         self.stats = stats
+        self.miss_rate = miss_rate
 
     # -- cardinalities ----------------------------------------------------------
 
@@ -160,6 +179,11 @@ class CostModel:
 
     # -- strategy costs ------------------------------------------------------------
 
+    def _estimate(self, strategy: str, pages: float,
+                  cpu: float) -> CostEstimate:
+        return CostEstimate(strategy, pages=pages, cpu=cpu,
+                            miss_rate=self.miss_rate)
+
     def _structure_pages(self) -> float:
         bits = self.stats.node_count * _STRUCTURE_BITS_PER_NODE
         return max(1.0, bits / 8 / _PAGE_BYTES)
@@ -169,8 +193,8 @@ class CostModel:
 
     def nok_cost(self, pattern: PatternGraph) -> CostEstimate:
         """One sequential scan of the structure segment; CPU per event."""
-        return CostEstimate("nok", pages=self._structure_pages(),
-                            cpu=2.0 * self.stats.node_count)
+        return self._estimate("nok", pages=self._structure_pages(),
+                              cpu=2.0 * self.stats.node_count)
 
     def partitioned_cost(self, pattern: PatternGraph) -> CostEstimate:
         """One shared structure scan for all NoK partitions plus a merge
@@ -180,8 +204,8 @@ class CostModel:
         for edge in cut_edges:
             cpu += self.vertex_cardinality(pattern, edge.source)
             cpu += self.vertex_cardinality(pattern, edge.target)
-        return CostEstimate("partitioned", pages=self._structure_pages(),
-                            cpu=cpu)
+        return self._estimate("partitioned",
+                              pages=self._structure_pages(), cpu=cpu)
 
     def columnar_cost(self, pattern: PatternGraph):
         """Vectorized semi-joins over label columns: one posting read
@@ -207,7 +231,7 @@ class CostModel:
             cpu += 0.2 * count
             if vertex.residual:
                 cpu += 50.0 * count * len(vertex.residual)
-        return CostEstimate("columnar", pages=pages, cpu=cpu)
+        return self._estimate("columnar", pages=pages, cpu=cpu)
 
     def index_scan_cost(self, pattern: PatternGraph) -> CostEstimate:
         """Content-index driven: only meaningful when some vertex has an
@@ -219,16 +243,16 @@ class CostModel:
                                  and isinstance(lit, (int, float)))
                    for op, lit in v.value_constraints)]
         if not constrained:
-            return CostEstimate("index-scan", pages=float("inf"),
-                                cpu=float("inf"))
+            return self._estimate("index-scan", pages=float("inf"),
+                                  cpu=float("inf"))
         fragmented = self.stats.fragmented_value_tags
         constrained = [
             v for v in constrained
             if v.kind in ("attribute", "text")
             or (v.labels is not None and not set(v.labels) & fragmented)]
         if not constrained:
-            return CostEstimate("index-scan", pages=float("inf"),
-                                cpu=float("inf"))
+            return self._estimate("index-scan", pages=float("inf"),
+                                  cpu=float("inf"))
         vertex = min(constrained,
                      key=lambda v: self.vertex_cardinality(pattern,
                                                            v.vertex_id))
@@ -237,8 +261,8 @@ class CostModel:
         import math
         height = max(1.0, math.log(max(self.stats.node_count, 2), 64))
         verification = hits * pattern.vertex_count()
-        return CostEstimate("index-scan", pages=height + hits,
-                            cpu=verification)
+        return self._estimate("index-scan", pages=height + hits,
+                              cpu=verification)
 
     def _vertex_posting_count(self, pattern: PatternGraph,
                               vertex_id: int) -> float:

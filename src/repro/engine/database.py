@@ -95,7 +95,7 @@ from repro.xml.parser import parse
 from repro.xml.serializer import serialize
 from repro.xpath.semantics import Context, sequence_boolean
 from repro.storage.interval import IntervalDocument
-from repro.storage.pages import PageManager
+from repro.storage.pages import PageManager, miss_rate
 from repro.storage.stats import DocumentStatistics
 from repro.storage.succinct import SuccinctDocument
 from repro.storage.tagindex import TagIndex
@@ -169,6 +169,10 @@ class DocumentVersion:
     # same hot pattern (see PhysicalPlanner).
     memo_lock: threading.Lock = field(default_factory=threading.Lock,
                                       repr=False, compare=False)
+    # Pages of the segments the serving strategies charge for this
+    # version; set once, on the first Database.planner_for, so every
+    # memoized choice was priced at the same buffer-pool miss rate.
+    charged_pages: Optional[int] = None
 
     def node_for(self, preorder: int) -> model.Node:
         """The model node behind a storage pre-order id."""
@@ -1247,12 +1251,14 @@ class Database:
         snapshot = self._pin()
         try:
             document = self._document_in(snapshot, uri)
-            cost_model = CostModel(document.statistics)
-            planner = PhysicalPlanner(cost_model,
-                                      choice_memo=document.strategy_memo,
-                                      memo_lock=document.memo_lock)
-            plan_text = self._explain_walk(plan, lines, planner,
-                                           cost_model, strategy)
+            planner = self.planner_for(document)
+            lines.append("")
+            lines.append(
+                f"pages priced at miss rate "
+                f"{planner.cost_model.miss_rate:.2f} "
+                f"({document.charged_pages} charged pages, "
+                f"{self.pages.pool.capacity}-page pool)")
+            plan_text = self._explain_walk(plan, lines, planner, strategy)
             if not analyze:
                 return plan_text
             context = self._execution_context(uri, strategy,
@@ -1278,8 +1284,10 @@ class Database:
             text=text)
 
     def _explain_walk(self, plan, lines: list, planner: PhysicalPlanner,
-                      cost_model: CostModel, strategy: str) -> str:
+                      strategy: str) -> str:
         from repro.algebra.plan import PlanNode, Tau
+
+        cost_model = planner.cost_model
 
         def walk(node: PlanNode) -> None:
             if isinstance(node, Tau):
@@ -1325,12 +1333,31 @@ class Database:
             variables=variables, snapshot=snapshot, deadline=deadline)
 
     def planner_for(self, document: DocumentVersion) -> PhysicalPlanner:
-        """A physical planner over one version's statistics, with that
-        version's strategy memo (and its lock, so concurrent readers
-        can memoize safely) attached."""
-        return PhysicalPlanner(CostModel(document.statistics),
+        """A physical planner over one version's statistics, pricing
+        pages at the miss rate the buffer pool implies for that
+        version, with the version's strategy memo (and its lock, so
+        concurrent readers can memoize safely) attached."""
+        if document.charged_pages is None:
+            charged = self._charged_pages(document)
+            with document.memo_lock:
+                if document.charged_pages is None:
+                    document.charged_pages = charged
+        rate = miss_rate(document.charged_pages, self.pages.pool.capacity)
+        return PhysicalPlanner(CostModel(document.statistics, rate),
                                choice_memo=document.strategy_memo,
                                memo_lock=document.memo_lock)
+
+    def _charged_pages(self, document: DocumentVersion) -> int:
+        """Pages of the segments ``auto``'s strategies read for one
+        document: its structure, tag postings and both B+ trees.  The
+        DOM records only the navigational baseline reads are left out."""
+        uri = document.uri
+        names = {f"succinct:structure:{uri}", f"value-btree:{uri}",
+                 f"numeric-btree:{uri}"}
+        names.update(f"tagindex:{uri}:{tag}"
+                     for tag in document.tag_index.tags())
+        return sum(segment.pages for segment in self.pages.segments()
+                   if segment.name in names)
 
     # -- updates -------------------------------------------------------------------
 
@@ -1496,6 +1523,7 @@ class Database:
         pending = self._replay_pending
         if pending is not None and pending.get(document.uri) is document:
             document.version_id = self._next_version_id()
+            document.charged_pages = None
             return document
         return self._clone_version(document)
 

@@ -19,13 +19,23 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-__all__ = ["IOCounters", "BufferPool", "PageManager", "Segment"]
+__all__ = ["IOCounters", "BufferPool", "PageManager", "Segment",
+           "miss_rate"]
 
 DEFAULT_PAGE_SIZE = 4096
 DEFAULT_POOL_PAGES = 256
 
 COUNTER_FIELDS = ("page_reads", "page_writes", "pool_hits",
                   "logical_touches")
+
+
+def miss_rate(charged_pages: int, capacity: int) -> float:
+    """Expected share of ``charged_pages`` that miss an LRU pool of
+    ``capacity`` pages: 0 when they all fit, else the share that cannot
+    stay resident (``1 - capacity / charged_pages``)."""
+    if charged_pages <= capacity:
+        return 0.0
+    return 1.0 - capacity / charged_pages
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra.cost import CostModel
+from repro.algebra.cost import CostEstimate, CostModel
 from repro.algebra.pattern_graph import compile_path
 from repro.storage.interval import IntervalDocument
 from repro.storage.stats import DocumentStatistics
@@ -87,3 +87,33 @@ class TestStrategyChoice:
         for estimate in model_.all_costs(pattern("//book/author")):
             assert estimate.pages > 0
             assert estimate.cpu >= 0
+
+
+class TestMissRatePricing:
+    def test_total_charges_only_missed_pages(self):
+        assert CostEstimate("nok", pages=10.0, cpu=5000.0).total == 10.5
+        warm = CostEstimate("nok", pages=10.0, cpu=5000.0, miss_rate=0.2)
+        assert warm.total == pytest.approx(2.5)
+        resident = CostEstimate("nok", pages=10.0, cpu=5000.0,
+                                miss_rate=0.0)
+        assert resident.total == pytest.approx(0.5)
+
+    def test_resident_infinite_estimate_stays_infinite(self, model_):
+        resident = CostModel(model_.stats, miss_rate=0.0)
+        estimate = resident.index_scan_cost(pattern("/bib/book"))
+        assert estimate.total == float("inf")
+
+    def test_bare_model_prices_every_page_as_a_miss(self, model_):
+        assert model_.miss_rate == 1.0
+        for estimate in model_.all_costs(pattern("//book/author")):
+            assert estimate.miss_rate == 1.0
+            assert estimate.total == estimate.pages + estimate.cpu / 10_000
+
+    def test_resident_model_picks_lowest_cpu(self, model_):
+        resident = CostModel(model_.stats, miss_rate=0.0)
+        local = pattern("/bib/book/title")
+        assert model_.cheapest_strategy(local) == "nok"
+        estimates = resident.all_costs(local)
+        lowest = min(estimates, key=lambda e: e.cpu)
+        assert resident.cheapest_strategy(local) == lowest.strategy
+        assert lowest.strategy != "nok"

@@ -133,9 +133,27 @@ class TestExplainAndReports:
         assert report["succinct"]["total"] > 0
         assert report["interval"]["total"] > 0
 
-    def test_auto_picks_nok_for_local_paths(self, db):
-        result = db.query("/bib/book/title", strategy="auto")
+    def test_auto_picks_nok_for_local_paths(self):
+        # The paper's setting: a cold pool prices the one structure
+        # scan below a posting read per pattern vertex.
+        cold = Database(pool_pages=2)
+        cold.load(BIB, uri="bib.xml")
+        assert cold.planner_for(cold.document()).cost_model.miss_rate \
+            == pytest.approx(1 - 2 / cold.document().charged_pages)
+        result = cold.query("/bib/book/title", strategy="auto")
         assert result.strategy == "nok"
+
+    def test_resident_auto_picks_lowest_cpu_estimate(self, db):
+        from repro.algebra.pattern_graph import compile_path
+        from repro.xpath.parser import parse_xpath
+
+        model = db.planner_for(db.document()).cost_model
+        assert model.miss_rate == 0.0
+        estimates = model.all_costs(
+            compile_path(parse_xpath("/bib/book/title")))
+        lowest = min(estimates, key=lambda estimate: estimate.cpu)
+        result = db.query("/bib/book/title", strategy="auto")
+        assert result.strategy == lowest.strategy
 
 
 class TestErrors:

@@ -130,3 +130,21 @@ def test_auto_picks_only_serving_strategies(text, pattern):
     database.load(text, uri="r.xml")
     planner = PhysicalPlanner(CostModel(database.document().statistics))
     assert planner.choose(pattern) in _SERVING
+
+
+@given(random_documents(), random_patterns())
+@settings(max_examples=120, deadline=None)
+def test_miss_rate_pricing(text, pattern):
+    """A bare model is the cold-disk model (miss rate 1.0), so the
+    paper's setting is unchanged; a resident model (0.0) picks the
+    serving estimate with the lowest CPU, the scan on a tie."""
+    database = Database()
+    database.load(text, uri="r.xml")
+    stats = database.document().statistics
+    assert CostModel(stats).cheapest_strategy(pattern) == \
+        CostModel(stats, miss_rate=1.0).cheapest_strategy(pattern)
+    resident = CostModel(stats, miss_rate=0.0)
+    estimates = resident.all_costs(pattern)
+    lowest = min(e.cpu for e in estimates)
+    first_lowest = next(e for e in estimates if e.cpu == lowest)
+    assert resident.cheapest_strategy(pattern) == first_lowest.strategy

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.storage.pages import BufferPool, IOCounters, PageManager
+from repro.storage.pages import (
+    BufferPool,
+    IOCounters,
+    PageManager,
+    miss_rate,
+)
 
 
 class TestBufferPool:
@@ -156,3 +161,15 @@ class TestPageManager:
         assert all(zeroed[f] == 0 for f in ("logical_touches",
                                             "pool_hits"))
         assert pages.threads_total() == pages.counters.snapshot()
+
+
+class TestMissRate:
+    def test_resident_pages_never_miss(self):
+        assert miss_rate(0, 256) == 0.0
+        assert miss_rate(63, 256) == 0.0
+        assert miss_rate(256, 256) == 0.0
+
+    def test_overflow_misses_the_share_that_cannot_stay(self):
+        assert miss_rate(512, 256) == pytest.approx(0.5)
+        assert miss_rate(12, 2) == pytest.approx(1 - 2 / 12)
+        assert miss_rate(1000, 1) == pytest.approx(0.999)
