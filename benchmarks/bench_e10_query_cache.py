@@ -131,7 +131,7 @@ def run_update_experiment(scale: int, updates: int) -> dict:
         return statistics.median(samples)
 
     incremental_db = _database(scale)
-    node_count = incremental_db.document().succinct.node_count
+    node_count = len(incremental_db.document().interval)
     incremental = script(incremental_db, rebuild=False)
     rebuild_db = _database(scale)
     rebuild = script(rebuild_db, rebuild=True)

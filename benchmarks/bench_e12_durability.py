@@ -87,7 +87,7 @@ def run_cold_open_experiment(scale: int, repeats: int) -> dict:
     try:
         database = Database.open(directory, checkpoint_every=0)
         database.load_tree(tree, uri="xmark.xml")  # auto-checkpoints
-        node_count = database.document().succinct.node_count
+        node_count = len(database.document().interval)
         expected = [database.query(q).values() for q in PROBE_QUERIES]
         database.close()
 

@@ -102,7 +102,7 @@ def run_scale(scale: int, repeat: int) -> dict:
         })
     return {
         "scale": scale,
-        "nodes": database.document().succinct.node_count,
+        "nodes": len(database.document().interval),
         "column_bytes": runtime.columnar_view().size_bytes(),
         "mismatches": mismatches,
         "median_speedup_vs_navigational": statistics.median(

@@ -22,10 +22,10 @@ _DOM_BYTES_PER_NODE = 32  # pointers: parent, first child, sibling, tag
 
 
 def _row(label, database):
-    document = database.document()
-    nodes = document.succinct.node_count
-    succinct = document.succinct.size_bytes()
-    interval = document.interval.size_bytes()
+    report = database.storage_report()
+    nodes = report["nodes"]
+    succinct = report["succinct"]
+    interval = report["interval"]
     succinct_structure = (succinct["structure"] + succinct["tags"]
                           + succinct["kinds"] + succinct["symbol_table"])
     return [

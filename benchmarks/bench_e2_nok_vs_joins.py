@@ -40,7 +40,7 @@ def test_e2_report(benchmark):
             ])
     table = format_table(
         f"E2 — linear (NoK) paths over xmark-{SCALE} "
-        f"({database.document().succinct.node_count} nodes)",
+        f"({len(database.document().interval)} nodes)",
         ["len", "strategy", "results", "time (ms)", "page reads",
          "intermediates", "joins"],
         rows,

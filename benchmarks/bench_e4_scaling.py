@@ -27,7 +27,7 @@ def test_e4_report(benchmark):
     rows = []
     for scale in SCALES:
         database = xmark_database(scale)
-        nodes = database.document().succinct.node_count
+        nodes = len(database.document().interval)
         for strategy in STRATEGIES:
             result = run(database, QUERY, strategy)
             seconds = timed(lambda d=database, s=strategy:

@@ -23,7 +23,7 @@ def main(scale: int = 300) -> None:
     db = Database()
     document = db.load_tree(generate_xmark(scale=scale, seed=42),
                             uri="auctions.xml")
-    print(f"  {document.succinct.node_count} nodes, "
+    print(f"  {len(document.interval)} nodes, "
           f"{len(document.statistics.tag_counts)} distinct tags\n")
 
     print("== Catalogue size per region ==")

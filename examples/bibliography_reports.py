@@ -24,7 +24,7 @@ def main(publications: int = 400) -> None:
     db = Database()
     doc = db.load_tree(generate_dblp(publications=publications, seed=7),
                        uri="dblp.xml")
-    print(f"  {doc.succinct.node_count} nodes\n")
+    print(f"  {len(doc.interval)} nodes\n")
 
     print("== Publications per venue ==")
     venues = db.query("distinct-values(//journal | //booktitle)")

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """A live product catalogue: updates and queries interleaved.
 
-Demonstrates the paper's update story (Section 4.2: "each update only
-affects a local sub-string") through the engine: subtree insertions and
-deletions keep the succinct store, the interval baseline, both content
-indexes, and the statistics aligned — and the per-update metrics show the
-splice-vs-relabel asymmetry of experiment E7 on every operation.
+Subtree insertions and deletions go through the engine, which keeps the
+label columns, the content heap, both content indexes and the statistics
+aligned; each update returns the column splice's metrics — the nodes
+inserted or removed and the records relabelled (every later node plus the
+ancestors, the interval-encoding cost experiment E7 sets against the
+paper's local succinct splice).
 
 Run with::
 
@@ -45,9 +46,8 @@ def main() -> None:
         "/catalog",
         '<product id="p4"><name>grinder</name><price>55</price>'
         "<stock>7</stock></product>")
-    print(f"   succinct splice moved "
-          f"{metrics['succinct']['shifted_entries']} entries; "
-          f"interval relabelled {metrics['interval']['relabelled']} "
+    print(f"   inserted {metrics['inserted_nodes']} nodes at pre "
+          f"{metrics['inserted_at']}; relabelled {metrics['relabelled']} "
           f"records")
     show(db, "after insertion")
 
@@ -56,7 +56,8 @@ def main() -> None:
     assert len(victims) == 1
     identifier = victims.items[0].get_attribute("id")
     metrics = db.delete(f"/catalog/product[@id = '{identifier}']")
-    print(f"   removed {metrics['succinct']['removed_nodes']} nodes")
+    print(f"   removed {metrics['removed_nodes']} nodes; relabelled "
+          f"{metrics['relabelled']} records")
     show(db, "after deletion")
 
     print("\n== queries keep using the freshest indexes ==")

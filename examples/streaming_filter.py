@@ -48,7 +48,7 @@ def main(scale: int = 400) -> None:
         bindings = matcher.run_stream(events_from_tree(tree))
         stream_ids = sorted({b[output] for b in bindings if output in b})
 
-        # Stored: the same pattern over the succinct storage.
+        # Stored: the same pattern over the stored label columns.
         stored = NoKMatcher(pattern)
         stored_bindings = stored.run(db.document().runtime)
         stored_ids = sorted({b[output] for b in stored_bindings

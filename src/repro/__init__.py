@@ -8,9 +8,9 @@ The library implements the paper's full system, from scratch:
   ``PatternGraph``, ``SchemaTree``, ``Env``), the Table-1 operators
   (sigma_s, join_s, pi_s, sigma_v, join_v, **tau**, **gamma**),
   XQuery-to-algebra translation, rewrite rules, and a cost model,
-* the **succinct physical storage** of Section 4 (balanced parentheses +
-  tags, separated content store) next to interval-encoded relational
-  baselines,
+* the physical storage of Section 4: one pre-order linearisation per
+  document as label columns, a separated content store, and the
+  **succinct** balanced-parentheses + tags encoding as the storage format,
 * the **NoK single-scan pattern matcher** with its partitioner, a
   columnar semi-join path and an index-scan path, plus the join-based
   baselines of the literature (stack-tree joins, PathStack, TwigStack)

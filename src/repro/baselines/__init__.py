@@ -14,7 +14,5 @@ and stays differential-tested against the reference evaluator.
   (Bruno et al., SIGMOD 2002; ``twigstack``),
 * :mod:`repro.baselines.navigational` — the node-at-a-time traversal
   standing in for the commercial native system of the paper's
-  experiments (``navigational``),
-* :mod:`repro.baselines.relational` — the shredded node table of the
-  extended-relational approach.
+  experiments (``navigational``).
 """

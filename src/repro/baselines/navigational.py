@@ -4,8 +4,9 @@ The paper's related work: "Navigational approaches traverse the tree
 structure and test whether a tree node satisfies the constraints specified
 by the path expression", and its experiments compare against "a
 state-of-the-art commercial native XML management system" of exactly this
-design.  This matcher walks the succinct document through its navigation
-API (first-child / next-sibling / subtree traversal), one node at a time,
+design.  This matcher walks the label columns (first child = the next pre
+id, next sibling = one past a subtree's ``end``, subtree = the pre-id
+window up to ``end``), one node at a time,
 with no indexes and no scan sharing — so its cost grows with the tree
 region explored, which experiment E4 shows scaling against NoK and the
 join strategies.
@@ -60,7 +61,8 @@ class NavigationalMatcher:
         self.stats.nodes_visited += 1
         runtime.charge_random_node(node)
         is_root = vertex_id == self.pattern.root
-        if not is_root and not vertex.matches_tag(runtime.succinct.tag(node)):
+        if not is_root and not vertex.matches_tag(
+                runtime.interval.tags[node]):
             return
         if vertex.value_constraints and not runtime.value_ok(vertex, node):
             return
@@ -88,30 +90,35 @@ class NavigationalMatcher:
     def _candidates(self, runtime: MatchRuntime, node: int,
                     relation: str, target_kind: str = "any"
                     ) -> Iterator[int]:
-        succinct = runtime.succinct
+        interval = runtime.interval
+        end, kinds = interval.end, interval.kinds
         if relation == REL_CHILD:
-            for child in succinct.children(node):
+            for child in interval.child_pres(node):
                 self.stats.nodes_visited += 1
                 runtime.charge_random_node(child)
-                if succinct.kind(child) != KIND_ATTRIBUTE:
+                if kinds[child] != KIND_ATTRIBUTE:
                     yield child
         elif relation == REL_ATTRIBUTE:
-            yield from succinct.attributes(node)
+            for child in interval.child_pres(node):
+                if kinds[child] != KIND_ATTRIBUTE:
+                    break
+                yield child
         elif relation == REL_SIBLING:
-            sibling = succinct.next_sibling(node)
-            while sibling is not None:
+            parent = interval.parent[node]
+            last = end[parent] if parent >= 0 else node
+            sibling = end[node] + 1
+            while sibling <= last:
                 self.stats.nodes_visited += 1
                 runtime.charge_random_node(sibling)
                 yield sibling
-                sibling = succinct.next_sibling(sibling)
+                sibling = end[sibling] + 1
         elif relation == REL_DESCENDANT:
             # descendant::node() excludes attributes; a '//@x' edge (kind
             # attribute) instead reaches exactly the attribute nodes.
             wants_attribute = target_kind == "attribute"
-            end = node + succinct.subtree_size(node)
-            for descendant in range(node + 1, end):
+            for descendant in range(node + 1, end[node] + 1):
                 self.stats.nodes_visited += 1
                 runtime.charge_random_node(descendant)
-                is_attribute = succinct.kind(descendant) == KIND_ATTRIBUTE
+                is_attribute = kinds[descendant] == KIND_ATTRIBUTE
                 if is_attribute == wants_attribute:
                     yield descendant

@@ -18,11 +18,7 @@ Layers (bottom up):
 """
 
 from repro.durability.manager import DurabilityManager
-from repro.durability.snapshot import (
-    model_tree_from_succinct,
-    read_snapshot,
-    write_snapshot,
-)
+from repro.durability.snapshot import read_snapshot, write_snapshot
 from repro.durability.wal import WriteAheadLog, read_records
 from repro.durability.checkpoint import list_generations, snapshot_path, \
     wal_path
@@ -33,7 +29,6 @@ __all__ = [
     "read_records",
     "write_snapshot",
     "read_snapshot",
-    "model_tree_from_succinct",
     "list_generations",
     "snapshot_path",
     "wal_path",

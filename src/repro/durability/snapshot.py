@@ -7,6 +7,8 @@ Layout::
     per document i:
       section "doc<i>:header"        uri + update generation
       section "doc<i>:succinct"      BP bits, tags, kinds, symbols, content
+                                     (the paper's storage format, encoded
+                                     from the label columns on write)
       section "doc<i>:interval"      post/end/level/parent label columns
       section "doc<i>:tagindex"      tag -> [pre...] postings
       section "doc<i>:statistics"    every cost-model counter + generation
@@ -19,12 +21,14 @@ Every section carries its own CRC32 (see
 load and recovery can fall back to the previous snapshot generation.
 
 Loading a snapshot **bypasses XML parsing and** ``rebuild_derived``:
-every derived structure — tag index, statistics, both value indexes —
-is restored *verbatim* through the storage classes' ``from_snapshot`` /
-``restore`` constructors.  The only thing rebuilt is the model tree
-(reference semantics need live :mod:`repro.xml.model` objects), and that
-is reconstructed from the succinct store by :func:`
-model_tree_from_succinct` — a plain pre-order walk, no tokenizer.
+the succinct section decodes straight into the tag, kind and value
+columns (its BP bits are checked against the ``level`` column, not
+navigated), and every derived structure — tag index, statistics, both
+value indexes — is restored *verbatim* through the storage classes'
+``from_snapshot`` / ``restore`` constructors.  The only thing rebuilt is
+the model tree (reference semantics need live :mod:`repro.xml.model`
+objects), by :func:`materialise_tree` — one flat pass over the columns,
+no tokenizer.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ from repro.storage.succinct import (
 from repro.durability.format import pack_obj, unpack_obj, write_section, \
     read_sections
 
-__all__ = ["write_snapshot", "read_snapshot", "model_tree_from_succinct",
-           "materialise_tree", "SNAPSHOT_MAGIC", "SNAPSHOT_VERSION"]
+__all__ = ["write_snapshot", "read_snapshot", "materialise_tree",
+           "SNAPSHOT_MAGIC", "SNAPSHOT_VERSION"]
 
 SNAPSHOT_MAGIC = b"RXSNAP01"
 SNAPSHOT_VERSION = 1
@@ -74,7 +78,8 @@ def write_snapshot(out: BinaryIO, database) -> dict:
     for index, (uri, document) in enumerate(database.documents.items()):
         parts = {
             "header": {"uri": uri, "generation": document.generation},
-            "succinct": document.succinct.to_snapshot(),
+            "succinct": SuccinctDocument.from_columns(
+                document.interval, document.content).to_snapshot(),
             "interval": document.interval.to_snapshot(),
             "tagindex": document.tag_index.postings_snapshot(),
             "statistics": document.statistics.to_snapshot(),
@@ -194,48 +199,3 @@ def materialise_tree(interval, uri: str
             raise SnapshotCorruptError(f"unknown node kind {kind}")
         attach(node)
     return document, node_list
-
-
-def model_tree_from_succinct(succinct: SuccinctDocument,
-                             uri: str) -> model.Document:
-    """Reconstruct the reference model tree from the succinct store.
-
-    One pre-order scan, no XML tokenizer: elements, attributes, merged
-    text runs, comments and processing instructions are materialised in
-    exactly the order the storage scheme keeps them, so the resulting
-    tree is node-for-node aligned with the storage pre-order (which is
-    what :func:`repro.engine.mapping.storage_node_list` requires).
-    """
-    document = model.Document(uri=uri)
-    parents: list = [document]
-    pushed: list[bool] = []
-    for event, preorder in succinct.scan(0):
-        if event == "end":
-            if pushed.pop():
-                parents.pop()
-            continue
-        kind = succinct.kind(preorder)
-        if kind == KIND_DOCUMENT:
-            pushed.append(False)
-            continue
-        top = parents[-1]
-        if kind == KIND_ELEMENT:
-            element = model.Element(succinct.tag(preorder))
-            top.append(element)
-            parents.append(element)
-            pushed.append(True)
-            continue
-        text = succinct.text_of(preorder) or ""
-        if kind == KIND_ATTRIBUTE:
-            top.set_attribute(succinct.tag(preorder)[1:], text)
-        elif kind == KIND_TEXT:
-            top.append(model.Text(text))
-        elif kind == KIND_COMMENT:
-            top.append(model.Comment(text))
-        elif kind == KIND_PI:
-            top.append(model.ProcessingInstruction(
-                succinct.tag(preorder)[1:], text))
-        else:  # pragma: no cover - exhaustive over KIND_*
-            raise SnapshotCorruptError(f"unknown node kind {kind}")
-        pushed.append(False)
-    return document

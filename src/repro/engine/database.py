@@ -16,10 +16,12 @@ Typical use::
     print(db.cache_report())
 
 A loaded document materialises the full storage stack: the model tree
-(reference semantics, residual checks), the succinct store (NoK), the
-interval store + tag index (join strategies), the content value indexes
-(index-scan), one-pass statistics (cost model), all charging I/O to the
-database's page manager.
+(reference semantics, residual checks), the label columns of the interval
+store (the one pre-order linearisation NoK scans and the columnar and
+join strategies read) with the tag index, the content heap and its value
+indexes (index-scan), one-pass statistics (cost model), all charging I/O
+to the database's page manager.  The paper's succinct encoding is built
+from the columns on demand, for checkpoints and the E1 storage report.
 
 Serving layer
 -------------
@@ -94,6 +96,7 @@ from repro.xml import model
 from repro.xml.parser import parse
 from repro.xml.serializer import serialize
 from repro.xpath.semantics import Context, sequence_boolean
+from repro.storage.content import ContentStore
 from repro.storage.interval import IntervalDocument
 from repro.storage.pages import PageManager, miss_rate
 from repro.storage.stats import DocumentStatistics
@@ -125,7 +128,7 @@ from repro.physical.planner import STRATEGIES, PhysicalPlanner
 from repro.xquery.parser import parse_xquery
 
 __all__ = ["Database", "DatabaseSnapshot", "DocumentVersion",
-           "QueryResult", "LoadedDocument", "PreparedQuery"]
+           "QueryResult", "PreparedQuery"]
 
 
 @dataclass
@@ -145,8 +148,8 @@ class DocumentVersion:
 
     uri: str
     tree: model.Document
-    succinct: SuccinctDocument
     interval: IntervalDocument
+    content: ContentStore      # leaf values the value indexes key on
     tag_index: TagIndex
     statistics: DocumentStatistics
     value_index: ContentIndex
@@ -177,11 +180,6 @@ class DocumentVersion:
     def node_for(self, preorder: int) -> model.Node:
         """The model node behind a storage pre-order id."""
         return self.node_list[preorder]
-
-
-#: Backwards-compatible alias — a "loaded document" is one pinned
-#: version of it now.
-LoadedDocument = DocumentVersion
 
 
 class DatabaseSnapshot:
@@ -494,7 +492,7 @@ class Database:
         Every derived structure — tag index, statistics, value indexes —
         is restored through its ``from_snapshot``/``restore``
         constructor; only the model tree is rebuilt, by a pre-order walk
-        of the succinct store (no XML tokenizer).  Called by recovery
+        of the label columns (no XML tokenizer).  Called by recovery
         under the write lock; the restored state is published as one
         fresh snapshot (queries racing recovery see either nothing or
         everything).
@@ -503,22 +501,23 @@ class Database:
         for parts in state["documents"]:
             header = parts["header"]
             uri = header["uri"]
-            succinct = SuccinctDocument.from_snapshot(parts["succinct"])
-            interval = IntervalDocument.from_snapshot(parts["interval"],
-                                                      succinct)
+            content = ContentStore.from_snapshot(
+                parts["succinct"]["content"])
+            interval = IntervalDocument.from_snapshot(
+                parts["interval"], parts["succinct"], content)
             tag_index = TagIndex.restore(interval, parts["tagindex"],
                                          pages=self.pages)
             statistics = DocumentStatistics.from_snapshot(
                 parts["statistics"])
             value_index = ContentIndex.restore(
-                succinct.content, parts["valueindex"],
+                content, parts["valueindex"],
                 segment=self.pages.segment(f"value-btree:{uri}"))
             numeric_index = ContentIndex.restore(
-                succinct.content, parts["numericindex"],
+                content, parts["numericindex"],
                 segment=self.pages.segment(f"numeric-btree:{uri}"))
             tree, node_list = materialise_tree(interval, uri)
             document = DocumentVersion(
-                uri=uri, tree=tree, succinct=succinct, interval=interval,
+                uri=uri, tree=tree, interval=interval, content=content,
                 tag_index=tag_index, statistics=statistics,
                 value_index=value_index, numeric_index=numeric_index,
                 runtime=None,  # type: ignore[arg-type]
@@ -528,7 +527,7 @@ class Database:
                 generation=header["generation"],
                 version_id=self._next_version_id())
             document.runtime = MatchRuntime(
-                succinct, interval, tag_index, pages=self.pages,
+                interval, tag_index, pages=self.pages,
                 residual_check=self._residual_checker(document),
                 value_index=value_index, numeric_index=numeric_index,
                 statistics=statistics)
@@ -640,18 +639,18 @@ class Database:
     # -- loading ---------------------------------------------------------------
 
     def load(self, text: str, uri: str = "doc.xml",
-             keep_whitespace: bool = False) -> LoadedDocument:
+             keep_whitespace: bool = False) -> DocumentVersion:
         """Parse and load XML text under ``uri``."""
         return self.load_tree(parse(text, keep_whitespace=keep_whitespace,
                                     uri=uri), uri=uri)
 
-    def load_file(self, path, uri: Optional[str] = None) -> LoadedDocument:
+    def load_file(self, path, uri: Optional[str] = None) -> DocumentVersion:
         """Load an XML file (``uri`` defaults to the path)."""
         with open(path, "r", encoding="utf-8") as handle:
             return self.load(handle.read(), uri=uri or str(path))
 
     def load_tree(self, tree: model.Document,
-                  uri: str = "doc.xml") -> LoadedDocument:
+                  uri: str = "doc.xml") -> DocumentVersion:
         """Load an already-built model tree (takes the write lock).
 
         On a durable database the load is logged (the serialized tree
@@ -670,26 +669,25 @@ class Database:
             return document
 
     def _load_tree_locked(self, tree: model.Document,
-                          uri: str) -> LoadedDocument:
-        succinct = SuccinctDocument.from_document(tree)
+                          uri: str) -> DocumentVersion:
         interval = IntervalDocument.from_document(tree)
-        # Simulated I/O segments are named by the stores' uri.
-        succinct.uri = interval.uri = uri
+        # Simulated I/O segments are named by the store's uri.
+        interval.uri = uri
+        content = ContentStore.from_values(interval.values)
         tag_index = TagIndex(interval, pages=self.pages)
         statistics = DocumentStatistics(interval)
-        value_index, numeric_index = self._build_value_indexes(succinct,
-                                                               uri)
+        value_index, numeric_index = self._build_value_indexes(content, uri)
         node_list = storage_node_list(tree)
         preorder_map = storage_preorder_map(tree)
         document = DocumentVersion(
-            uri=uri, tree=tree, succinct=succinct, interval=interval,
+            uri=uri, tree=tree, interval=interval, content=content,
             tag_index=tag_index, statistics=statistics,
             value_index=value_index, numeric_index=numeric_index,
             runtime=None,  # type: ignore[arg-type]
             node_list=node_list, preorder_map=preorder_map,
             version_id=self._next_version_id())
         document.runtime = MatchRuntime(
-            succinct, interval, tag_index, pages=self.pages,
+            interval, tag_index, pages=self.pages,
             residual_check=self._residual_checker(document),
             value_index=value_index, numeric_index=numeric_index,
             statistics=statistics)
@@ -701,24 +699,24 @@ class Database:
                       snapshot.load_epoch + 1)
         return document
 
-    def _build_value_indexes(self, succinct: SuccinctDocument,
+    def _build_value_indexes(self, content: ContentStore,
                              uri: str) -> tuple[ContentIndex, ContentIndex]:
         """The two content value indexes (string + numeric) over one
-        succinct store's content heap.  One shared constructor — the
+        version's content heap.  One shared constructor — the
         string/numeric duplication that used to live in both
         ``load_tree`` and the rebuild path is gone."""
         value_index = ContentIndex(
-            succinct.content,
+            content,
             segment=self.pages.segment(f"value-btree:{uri}"))
         # A second, typed index for numeric range predicates: string
         # order is wrong for numbers ("9" > "10"), so values that parse
         # as numbers are indexed by their float key too.
         numeric_index = ContentIndex(
-            succinct.content, numeric=True,
+            content, numeric=True,
             segment=self.pages.segment(f"numeric-btree:{uri}"))
         return value_index, numeric_index
 
-    def _residual_checker(self, document: LoadedDocument):
+    def _residual_checker(self, document: DocumentVersion):
         from repro.xpath.semantics import XPathEvaluator
 
         evaluator = XPathEvaluator()
@@ -1130,7 +1128,7 @@ class Database:
         if action == "stats":
             snapshot = self._snapshot
             report = {
-                "documents": {uri: doc.succinct.node_count
+                "documents": {uri: len(doc.interval)
                               for uri, doc
                               in snapshot.documents.items()},
                 "load_epoch": snapshot.load_epoch,
@@ -1368,8 +1366,9 @@ class Database:
         ``parent_path`` selects, keeping every storage structure aligned.
 
         Copy-on-write: the current :class:`DocumentVersion` is cloned,
-        the clone's succinct and interval stores are spliced (their
-        update metrics are returned) and every derived structure — tag
+        the clone's label columns are spliced (their update metrics are
+        returned), its content heap renumbers and appends the new
+        leaves, and every derived structure — tag
         index, statistics, value indexes, pre-order maps — absorbs a
         *local delta* for the inserted subtree; the finished clone is
         then published as a new snapshot.  Queries pinned on the old
@@ -1426,27 +1425,29 @@ class Database:
         version = self._successor(document)
         clone_parent = version.node_list[parent_pre]
 
-        # Primary stores: local splices, with the paper's cost metrics.
-        succinct_metrics = version.succinct.insert_subtree(
-            parent_pre, position, subtree)
-        interval_metrics = version.interval.insert_subtree(
-            parent_pre, position, subtree)
+        # Primary stores: the column splice (with the paper's cost
+        # metrics), then one pass of the content heap's owner column.
+        metrics = version.interval.insert_subtree(parent_pre, position,
+                                                  subtree)
+        insert_pre, count = metrics["inserted_at"], metrics["inserted_nodes"]
+        appended = len(version.content)
+        version.content.splice(
+            insert_pre, insert_pre,
+            version.interval.values[insert_pre:insert_pre + count])
         # The clone's model tree mirrors the change (it owns reference
         # semantics).
         clone_children = [c for c in clone_parent.children()]
         clone_parent.insert(position if position < len(clone_children)
                             else len(clone_children), subtree)
 
-        self._apply_insert_deltas(
-            version, subtree,
-            insert_pre=interval_metrics["inserted_at"],
-            count=interval_metrics["inserted_nodes"],
-            content_appended=succinct_metrics["content_appended"])
-        return {"succinct": succinct_metrics, "interval": interval_metrics}
+        self._apply_insert_deltas(version, subtree, insert_pre, count,
+                                  range(appended, len(version.content)))
+        return metrics
 
     def delete(self, path: str, uri: Optional[str] = None) -> dict:
         """Delete the (single) element ``path`` selects, keeping every
-        storage structure aligned.  Returns the stores' update metrics.
+        storage structure aligned.  Returns the column splice's update
+        metrics.
 
         Copy-on-write like :meth:`insert`: the splice happens on a
         clone published as a new snapshot; pinned readers keep the
@@ -1482,15 +1483,14 @@ class Database:
         count = version.interval.end[preorder] - preorder + 1
         version.tag_index.apply_delete(preorder, count)
         version.statistics.apply_delete(version.interval, preorder)
-        doomed_content = version.succinct.content_ids_in(preorder, count)
 
-        succinct_metrics = version.succinct.delete_subtree(preorder)
-        interval_metrics = version.interval.delete_subtree(preorder)
+        metrics = version.interval.delete_subtree(preorder)
+        doomed_content = version.content.splice(preorder, preorder + count)
         clone_victim.parent.remove(clone_victim)
 
         self._apply_delete_deltas(version, preorder, count,
                                   doomed_content)
-        return {"succinct": succinct_metrics, "interval": interval_metrics}
+        return metrics
 
     # -- copy-on-write version construction ---------------------------------------
 
@@ -1530,31 +1530,31 @@ class Database:
     def _clone_version(self, base: DocumentVersion) -> DocumentVersion:
         """An independent successor of ``base`` for a writer to splice.
 
-        Primary stores are cloned (succinct and interval column copies
+        Primary stores are cloned (label column and content heap copies
         — updates splice them in place); derived structures are rebuilt
         from their snapshot forms (the same restore constructors
         recovery uses, so no index is recomputed from scratch); the
         model tree is re-materialised from the cloned interval
-        columns.  Immutable leaves (strings, the
-        balanced-parens directory) stay shared.  The clone starts with
+        columns.  Immutable leaves (strings) stay shared.  The clone
+        starts with
         a fresh strategy memo — its statistics generation carries over,
         so hot patterns re-memoize after one cost-model pass.
         """
         uri = base.uri
-        succinct = base.succinct.clone()
         interval = base.interval.clone()
+        content = base.content.clone()
         tag_index = base.tag_index.clone(interval)
         statistics = DocumentStatistics.from_snapshot(
             base.statistics.to_snapshot())
         value_index = ContentIndex.restore(
-            succinct.content, base.value_index.to_snapshot(),
+            content, base.value_index.to_snapshot(),
             segment=self.pages.segment(f"value-btree:{uri}"))
         numeric_index = ContentIndex.restore(
-            succinct.content, base.numeric_index.to_snapshot(),
+            content, base.numeric_index.to_snapshot(),
             segment=self.pages.segment(f"numeric-btree:{uri}"))
         tree, node_list = materialise_tree(interval, uri)
         version = DocumentVersion(
-            uri=uri, tree=tree, succinct=succinct, interval=interval,
+            uri=uri, tree=tree, interval=interval, content=content,
             tag_index=tag_index, statistics=statistics,
             value_index=value_index, numeric_index=numeric_index,
             runtime=None,  # type: ignore[arg-type]
@@ -1564,7 +1564,7 @@ class Database:
             generation=base.generation,
             version_id=self._next_version_id())
         version.runtime = MatchRuntime(
-            succinct, interval, tag_index, pages=self.pages,
+            interval, tag_index, pages=self.pages,
             residual_check=self._residual_checker(version),
             value_index=value_index, numeric_index=numeric_index,
             statistics=statistics)
@@ -1572,25 +1572,23 @@ class Database:
 
     # -- incremental derived maintenance ------------------------------------------
 
-    def _apply_insert_deltas(self, document: LoadedDocument,
+    def _apply_insert_deltas(self, document: DocumentVersion,
                              subtree: model.Element, insert_pre: int,
-                             count: int, content_appended: int) -> None:
-        """Absorb one inserted subtree into every derived structure."""
+                             count: int, appended: range) -> None:
+        """Absorb one inserted subtree into every derived structure
+        (``appended``: the content ids of its new leaf values)."""
         document.tag_index.apply_insert(insert_pre, count)
         document.statistics.apply_insert(document.interval, insert_pre,
                                          count)
         document.statistics.finalize_update()
-        # The content heap is append-only: the new leaf values are
-        # exactly the last ``content_appended`` ids.
-        total = len(document.succinct.content)
-        for content_id in range(total - content_appended, total):
+        for content_id in appended:
             document.value_index.add_content(content_id)
             document.numeric_index.add_content(content_id)
         apply_insert_mapping(document.node_list, document.preorder_map,
                              subtree, insert_pre, count)
         self._finish_update(document)
 
-    def _apply_delete_deltas(self, document: LoadedDocument,
+    def _apply_delete_deltas(self, document: DocumentVersion,
                              delete_pre: int, count: int,
                              doomed_content: list[int]) -> None:
         """Absorb one deleted subtree into every derived structure
@@ -1652,10 +1650,10 @@ class Database:
         statistics.generation = base.statistics.generation + 1
         tag_index = TagIndex(base.interval, pages=self.pages)
         value_index, numeric_index = self._build_value_indexes(
-            base.succinct, base.uri)
+            base.content, base.uri)
         version = DocumentVersion(
-            uri=base.uri, tree=base.tree, succinct=base.succinct,
-            interval=base.interval, tag_index=tag_index,
+            uri=base.uri, tree=base.tree, interval=base.interval,
+            content=base.content, tag_index=tag_index,
             statistics=statistics, value_index=value_index,
             numeric_index=numeric_index,
             runtime=None,  # type: ignore[arg-type]
@@ -1664,14 +1662,14 @@ class Database:
             generation=base.generation + 1,
             version_id=self._next_version_id())
         version.runtime = MatchRuntime(
-            base.succinct, base.interval, tag_index, pages=self.pages,
+            base.interval, tag_index, pages=self.pages,
             residual_check=self._residual_checker(version),
             value_index=value_index, numeric_index=numeric_index,
             statistics=statistics)
         self._publish_version(version)
         return version
 
-    def verify_derived(self, document: LoadedDocument) -> None:
+    def verify_derived(self, document: DocumentVersion) -> None:
         """Debug cross-check: every incrementally maintained structure
         must equal a fresh rebuild from the primary stores.  Raises
         :class:`~repro.errors.StorageError` on divergence."""
@@ -1686,7 +1684,7 @@ class Database:
         if document.tag_index.postings_snapshot() != fresh_tags:
             raise StorageError("incremental tag index diverged")
         for index in (document.value_index, document.numeric_index):
-            fresh_index = ContentIndex(document.succinct.content,
+            fresh_index = ContentIndex(document.content,
                                        numeric=index.numeric)
             if sorted(index.entries()) != sorted(fresh_index.entries()):
                 flavour = "numeric" if index.numeric else "string"
@@ -1706,15 +1704,17 @@ class Database:
         return self._snapshot.version_for_tree(tree)
 
     def storage_report(self, uri: Optional[str] = None) -> dict:
-        """Byte accounting of every storage structure (experiment E1)."""
+        """Byte accounting of every storage structure (experiment E1);
+        the succinct encoding is built from the label columns for it."""
         return self._storage_report_locked(uri)
 
     def _storage_report_locked(self, uri: Optional[str]) -> dict:
         document = self.document(uri)
-        succinct_sizes = document.succinct.size_bytes()
+        succinct_sizes = SuccinctDocument.from_columns(
+            document.interval, document.content).size_bytes()
         interval_sizes = document.interval.size_bytes()
         report = {
-            "nodes": document.succinct.node_count,
+            "nodes": len(document.interval),
             "succinct": succinct_sizes,
             "interval": interval_sizes,
             "tag_index_bytes": document.tag_index.size_bytes(),

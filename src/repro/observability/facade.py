@@ -194,7 +194,7 @@ class Observability:
         registry.register_pull(
             "repro_document_nodes", "gauge",
             "Storage nodes per loaded document.",
-            lambda: {uri: doc.succinct.node_count
+            lambda: {uri: len(doc.interval)
                      for uri, doc in database.documents.items()},
             labelnames=("uri",))
 

@@ -2,8 +2,9 @@
 
 The star is the **NoK (next-of-kin) pattern matcher**
 (:mod:`repro.physical.nok`): a single-scan navigational evaluator for
-patterns built from local structural relationships, running over the
-succinct storage — no structural joins.  General patterns are split by the
+patterns built from local structural relationships, running as one scan
+of the stored pre-order structure (charged as a read of the succinct
+structure segment) — no structural joins.  General patterns are split by the
 **partitioner** (:mod:`repro.physical.partition`) into interconnected NoK
 units whose partial results are combined with structural joins, "just as
 in the join-based approach" (Section 4.2).

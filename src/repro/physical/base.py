@@ -1,10 +1,17 @@
 """Shared infrastructure for physical operators.
 
 :class:`MatchRuntime` bundles everything a physical strategy needs for one
-document: the succinct store, the interval store (same pre-order
-numbering), the tag index, the page manager it charges I/O to, and the
+document: the label columns (the interval store — the version's one copy
+of the pre-order structure, with each node's tag, kind and leaf value),
+the tag index, the page manager it charges I/O to, and the
 residual-predicate checker (a callback into the reference evaluator, set
 up by the engine which owns the model tree).
+
+I/O is charged as if the structure were stored in the paper's succinct
+format: the ``succinct:structure`` segment is sized by
+:func:`~repro.storage.succinct.encoded_sizes` from the node count and the
+number of distinct tags, so a NoK scan pays what one read of the encoded
+BP, tag and kind arrays would.
 
 :class:`OperatorStats` collects the per-run metrics the benchmarks report
 alongside wall-clock time and page I/O: nodes visited, elements scanned
@@ -21,7 +28,7 @@ from repro.errors import ExecutionError
 from repro.storage.columns import ColumnarView
 from repro.storage.interval import IntervalDocument
 from repro.storage.pages import PageManager
-from repro.storage.succinct import SuccinctDocument
+from repro.storage.succinct import encoded_sizes
 from repro.storage.tagindex import TagIndex
 from repro.algebra.operators import compare_values
 from repro.algebra.pattern_graph import PatternGraph, PatternVertex
@@ -72,14 +79,12 @@ class OperatorStats:
 class MatchRuntime:
     """Per-document runtime shared by the physical strategies."""
 
-    def __init__(self, succinct: SuccinctDocument,
-                 interval: IntervalDocument,
+    def __init__(self, interval: IntervalDocument,
                  tag_index: TagIndex,
                  pages: Optional[PageManager] = None,
                  residual_check: Optional[
                      Callable[[PatternVertex, int], bool]] = None,
                  value_index=None, numeric_index=None, statistics=None):
-        self.succinct = succinct
         self.interval = interval
         self.tag_index = tag_index
         self.pages = pages
@@ -97,8 +102,8 @@ class MatchRuntime:
             # Segments are per document: another document's update must
             # not resize this one's extents.
             self.structure_segment = pages.segment(
-                f"succinct:structure:{succinct.uri}")
-            self.dom_segment = pages.segment(f"dom:records:{succinct.uri}")
+                f"succinct:structure:{interval.uri}")
+            self.dom_segment = pages.segment(f"dom:records:{interval.uri}")
             self.refresh_segments()
         else:
             self.structure_segment = None
@@ -118,13 +123,12 @@ class MatchRuntime:
         if self.pages is None:
             return
         with self.pages.io_lock:
-            structure = self.succinct.size_bytes()
-            self.structure_segment.length = (
-                structure["structure"] + structure["tags"]
-                + structure["kinds"])
+            nodes = len(self.interval)
+            self.structure_segment.length = sum(encoded_sizes(
+                nodes, len(self.tag_index.tags())).values())
             # The navigational (commercial stand-in) strategy reads
             # pointer-based DOM records, ~32 bytes per node.
-            self.dom_segment.length = 32 * self.succinct.node_count
+            self.dom_segment.length = 32 * nodes
 
     # -- columnar view ----------------------------------------------------------
 
@@ -160,7 +164,7 @@ class MatchRuntime:
                        check_value: bool = True) -> bool:
         """Full per-node check of a pattern vertex (tag, value
         constraints, residuals) against the stored node ``preorder``."""
-        if not vertex.matches_tag(self.succinct.tag(preorder)):
+        if not vertex.matches_tag(self.interval.tags[preorder]):
             return False
         if check_value and not self.value_ok(vertex, preorder):
             return False
@@ -168,7 +172,7 @@ class MatchRuntime:
 
     def value_ok(self, vertex: PatternVertex, preorder: int) -> bool:
         for op, literal in vertex.value_constraints:
-            if not compare_values(op, self.succinct.string_value(preorder),
+            if not compare_values(op, self.interval.string_value(preorder),
                                   literal):
                 return False
         return True

@@ -66,9 +66,10 @@ class IndexScanMatcher:
         self._check_probe_is_lossless(runtime, vertex)
         candidates = []
         seen: set[int] = set()
-        succinct = runtime.succinct
+        kinds = runtime.interval.kinds
+        parents = runtime.interval.parent
         for owner in owners:
-            kind = succinct.kind(owner)
+            kind = kinds[owner]
             if vertex.kind == "attribute":
                 nodes = [owner] if kind == KIND_ATTRIBUTE else []
             elif vertex.kind == "text":
@@ -78,10 +79,10 @@ class IndexScanMatcher:
                 # match (its *full* string value is verified below) — the
                 # text need not be a direct child.
                 nodes = []
-                ancestor = succinct.parent(owner)
-                while ancestor is not None:
+                ancestor = parents[owner]
+                while ancestor >= 0:
                     nodes.append(ancestor)
-                    ancestor = succinct.parent(ancestor)
+                    ancestor = parents[ancestor]
             else:
                 nodes = []
             for node in nodes:

@@ -6,11 +6,13 @@ local structural relationships.  The evaluation of NoK expressions can be
 performed more efficiently using a navigational technique based on our
 physical storage structures without the need for structural joins."
 
-The matcher consumes the pre-order scan of the succinct storage — one
-sequential pass, the same order as streaming XML arrival — and maintains,
-for every *open* node, the set of pattern vertices it may match.  A node's
-match is *confirmed* at its close parenthesis, when all required child
-edges have been satisfied by its (already closed) children; confirmations
+The matcher consumes one pre-order scan of the stored structure — the
+``level``/``tags``/``kinds`` label columns, charged as one sequential read
+of the succinct structure segment, in streaming XML arrival order — and
+maintains, for every *open* node, the set of pattern vertices it may
+match.  A node's match is *confirmed* when it closes (the next node at its
+level or above opens, or the scan ends), once all required child edges
+have been satisfied by its (already closed) children; confirmations
 propagate upward along the path stack.  Memory is O(depth × |pattern|)
 plus output bindings.
 
@@ -30,6 +32,7 @@ handled by :mod:`repro.physical.partition`.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Optional
 
 from repro.errors import ExecutionError
@@ -113,89 +116,84 @@ class NoKMatcher:
     # -- storage mode ---------------------------------------------------------------
 
     def run(self, runtime: MatchRuntime, root: int = 0) -> list[dict]:
-        """Match over the succinct storage, scanning the subtree at
+        """Match over the stored label columns, scanning the subtree at
         ``root``.  Returns the distinct output-vertex bindings.
 
-        The hot loop iterates the balanced-parentheses words directly —
-        this single pass over the structure segment is the whole
-        algorithm, so it is written for throughput: candidates are only
-        allocated along paths whose tags match the pattern.
+        The hot loop walks pre ids from ``root`` to ``end[root]``; a
+        node's ``level`` says how many open nodes above it are still
+        open, so the nodes deeper than that close first (in the order
+        their close parentheses would arrive).  This single pass over
+        the structure is the whole algorithm, so it is written for
+        throughput: candidates are only allocated along paths whose
+        tags match the pattern.
         """
         runtime.charge_structure_scan()
         self.stats.note("nok.structure_scans")
-        succinct = runtime.succinct
-        tags = succinct._tags
-        node_kinds = succinct._kinds
-        symbols = succinct._symbols
+        interval = runtime.interval
+        tags = interval.tags
+        node_kinds = interval.kinds
+        levels = interval.level
         pattern_vertices = self.pattern.vertices
         edges_map = self._edges
         anchored = self.anchored
         root_vertex_id = self._root
         root_vertex = pattern_vertices[root_vertex_id]
-
-        bp = succinct.bp
-        position = bp.position(root)
-        end_position = bp.find_close(position)
-        words = bp.bits._words
+        value_ok = runtime.value_ok
+        residual_ok = runtime.residual_ok
+        stop = interval.end[root] + 1
+        top_level = levels[root]
 
         # Stack entries are candidate lists (None = no active candidates
         # on this path — the common case, kept allocation-free).
         stack: list = []
         results: list[dict] = []
-        preorder = root
-        visited = 0
-        index = position
-        while index <= end_position:
-            word = words[index >> 6]
-            offset = index & 63
-            limit = min(64, end_position - index + offset + 1)
-            while offset < limit:
-                if (word >> offset) & 1:
-                    node = preorder
-                    preorder += 1
-                    visited += 1
-                    candidates = None
-                    parent_candidates = stack[-1] if stack else None
-                    if parent_candidates or not anchored or node == root:
-                        is_attribute = node_kinds[node] == KIND_ATTRIBUTE
-                        tag = symbols[tags[node]]
-                        if parent_candidates:
-                            for parent_candidate in parent_candidates:
-                                for edge_index, edge in enumerate(
-                                        edges_map[
-                                            parent_candidate.vertex_id]):
-                                    if (edge.relation == REL_ATTRIBUTE) \
-                                            != is_attribute:
-                                        continue
-                                    target = pattern_vertices[edge.target]
-                                    if not target.matches_tag(tag):
-                                        continue
-                                    if candidates is None:
-                                        candidates = []
-                                    candidates.append(_Candidate(
-                                        edge.target, node,
-                                        parent_candidate, edge_index,
-                                        len(edges_map[edge.target])))
-                        if (node == root and anchored) or (
-                                not anchored
-                                and root_vertex.matches_tag(tag)):
+
+        def close(candidates: list) -> None:
+            for candidate in candidates:
+                self._close_candidate(candidate, results,
+                                      value_ok=value_ok,
+                                      residual_ok=residual_ok)
+
+        for node, level in zip(range(root, stop),
+                               islice(levels, root, stop)):
+            depth = level - top_level
+            while len(stack) > depth:
+                candidates = stack.pop()
+                if candidates:
+                    close(candidates)
+            candidates = None
+            parent_candidates = stack[-1] if stack else None
+            if parent_candidates or not anchored or node == root:
+                is_attribute = node_kinds[node] == KIND_ATTRIBUTE
+                tag = tags[node]
+                if parent_candidates:
+                    for parent_candidate in parent_candidates:
+                        for edge_index, edge in enumerate(
+                                edges_map[parent_candidate.vertex_id]):
+                            if (edge.relation == REL_ATTRIBUTE) \
+                                    != is_attribute:
+                                continue
+                            target = pattern_vertices[edge.target]
+                            if not target.matches_tag(tag):
+                                continue
                             if candidates is None:
                                 candidates = []
                             candidates.append(_Candidate(
-                                root_vertex_id, node, None, None,
-                                len(edges_map[root_vertex_id])))
-                    stack.append(candidates)
-                else:
-                    candidates = stack.pop()
-                    if candidates:
-                        for candidate in candidates:
-                            self._close_candidate(
-                                candidate, results,
-                                value_ok=runtime.value_ok,
-                                residual_ok=runtime.residual_ok)
-                offset += 1
-            index += limit - (index & 63)
-        self.stats.nodes_visited += visited
+                                edge.target, node, parent_candidate,
+                                edge_index, len(edges_map[edge.target])))
+                if (node == root and anchored) or (
+                        not anchored and root_vertex.matches_tag(tag)):
+                    if candidates is None:
+                        candidates = []
+                    candidates.append(_Candidate(
+                        root_vertex_id, node, None, None,
+                        len(edges_map[root_vertex_id])))
+            stack.append(candidates)
+        while stack:
+            candidates = stack.pop()
+            if candidates:
+                close(candidates)
+        self.stats.nodes_visited += stop - root
         self.stats.solutions = len(results)
         return _dedup_bindings(results)
 
@@ -369,10 +367,7 @@ def run_shared_scan(runtime: MatchRuntime, matchers: list["NoKMatcher"],
     partitions.  Returns one binding list per matcher (same order).
     """
     runtime.charge_structure_scan()
-    succinct = runtime.succinct
-    tags = succinct._tags
-    node_kinds = succinct._kinds
-    symbols = succinct._symbols
+    interval = runtime.interval
 
     # Merge the patterns into one vertex space.
     merged_vertices: dict[int, object] = {}
@@ -409,79 +404,72 @@ def run_shared_scan(runtime: MatchRuntime, matchers: list["NoKMatcher"],
                 roots_by_label.setdefault(key, []).append(merged_root)
         base += pattern.vertex_count()
 
-    bp = succinct.bp
-    position = bp.position(root)
-    end_position = bp.find_close(position)
-    words = bp.bits._words
-
     stack: list = []
     raw_results: list[list[dict]] = [[] for _ in matchers]
     value_ok = runtime.value_ok
     residual_ok = runtime.residual_ok
     shared_stats = OperatorStats()
 
-    preorder = root
-    visited = 0
-    index = position
-    while index <= end_position:
-        word = words[index >> 6]
-        offset = index & 63
-        limit = min(64, end_position - index + offset + 1)
-        while offset < limit:
-            if (word >> offset) & 1:
-                node = preorder
-                preorder += 1
-                visited += 1
-                is_attribute = node_kinds[node] == KIND_ATTRIBUTE
-                tag = symbols[tags[node]]
-                candidates = None
-                parent_candidates = stack[-1] if stack else None
-                if parent_candidates:
-                    for parent_candidate in parent_candidates:
-                        for edge_index, edge in enumerate(
-                                merged_edges[parent_candidate.vertex_id]):
-                            if (edge.relation == REL_ATTRIBUTE) \
-                                    != is_attribute:
-                                continue
-                            target = merged_vertices[edge.target]
-                            if not target.matches_tag(tag):
-                                continue
-                            if candidates is None:
-                                candidates = []
-                            candidates.append(_Candidate(
-                                edge.target, node, parent_candidate,
-                                edge_index, len(merged_edges[edge.target])))
-                for merged_root in roots_by_label.get(tag, ()):
+    def close(candidates: list) -> None:
+        for candidate in candidates:
+            _close_merged(candidate, raw_results, owner_of, merged_vertices,
+                          merged_edges, merged_edge_has_outputs, bases,
+                          shared_stats, value_ok, residual_ok)
+
+    stop = interval.end[root] + 1
+    top_level = interval.level[root]
+    for node, level, tag, kind in zip(
+            range(root, stop), islice(interval.level, root, stop),
+            islice(interval.tags, root, stop),
+            islice(interval.kinds, root, stop)):
+        depth = level - top_level
+        while len(stack) > depth:
+            candidates = stack.pop()
+            if candidates:
+                close(candidates)
+        is_attribute = kind == KIND_ATTRIBUTE
+        candidates = None
+        parent_candidates = stack[-1] if stack else None
+        if parent_candidates:
+            for parent_candidate in parent_candidates:
+                for edge_index, edge in enumerate(
+                        merged_edges[parent_candidate.vertex_id]):
+                    if (edge.relation == REL_ATTRIBUTE) != is_attribute:
+                        continue
+                    target = merged_vertices[edge.target]
+                    if not target.matches_tag(tag):
+                        continue
                     if candidates is None:
                         candidates = []
                     candidates.append(_Candidate(
-                        merged_root, node, None, None,
-                        len(merged_edges[merged_root])))
-                for merged_root in open_roots:
-                    if merged_vertices[merged_root].matches_tag(tag):
-                        if candidates is None:
-                            candidates = []
-                        candidates.append(_Candidate(
-                            merged_root, node, None, None,
-                            len(merged_edges[merged_root])))
-                if node == root:
-                    for merged_root in anchored_roots:
-                        if candidates is None:
-                            candidates = []
-                        candidates.append(_Candidate(
-                            merged_root, node, None, None,
-                            len(merged_edges[merged_root])))
-                stack.append(candidates)
-            else:
-                candidates = stack.pop()
-                if candidates:
-                    for candidate in candidates:
-                        _close_merged(candidate, raw_results, owner_of,
-                                      merged_vertices, merged_edges,
-                                      merged_edge_has_outputs, bases,
-                                      shared_stats, value_ok, residual_ok)
-            offset += 1
-        index += limit - (index & 63)
+                        edge.target, node, parent_candidate,
+                        edge_index, len(merged_edges[edge.target])))
+        for merged_root in roots_by_label.get(tag, ()):
+            if candidates is None:
+                candidates = []
+            candidates.append(_Candidate(
+                merged_root, node, None, None,
+                len(merged_edges[merged_root])))
+        for merged_root in open_roots:
+            if merged_vertices[merged_root].matches_tag(tag):
+                if candidates is None:
+                    candidates = []
+                candidates.append(_Candidate(
+                    merged_root, node, None, None,
+                    len(merged_edges[merged_root])))
+        if node == root:
+            for merged_root in anchored_roots:
+                if candidates is None:
+                    candidates = []
+                candidates.append(_Candidate(
+                    merged_root, node, None, None,
+                    len(merged_edges[merged_root])))
+        stack.append(candidates)
+    while stack:
+        candidates = stack.pop()
+        if candidates:
+            close(candidates)
+    visited = stop - root
     for matcher_index, matcher in enumerate(matchers):
         matcher.stats.nodes_visited += visited
         matcher.stats.intermediate_results += \

@@ -53,6 +53,11 @@ def unpack_words(data: bytes) -> list[int]:
     return packed.tolist()
 
 
+def _bits_value(bits: bytes) -> int:
+    """The integer whose bit ``i`` is ``bits[i]`` (each byte 0 or 1)."""
+    return int(bits[::-1].translate(_ASCII_BITS) or b"0", 2)
+
+
 class BitVectorBuilder:
     """Accumulates bits (in order) and builds an immutable
     :class:`BitVector`."""
@@ -164,13 +169,24 @@ class BitVector:
                 f"(length {self._length})")
         inserted = bytes(bits)
         value = int.from_bytes(pack_words(self._words), "little")
-        middle = int(inserted[::-1].translate(_ASCII_BITS) or b"0", 2)
         value = ((value & ((1 << start) - 1))
-                 | (middle << start)
+                 | (_bits_value(inserted) << start)
                  | ((value >> stop) << (start + len(inserted))))
-        length = self._length - (stop - start) + len(inserted)
+        return BitVector._from_value(
+            value, self._length - (stop - start) + len(inserted))
+
+    @classmethod
+    def from_bytes(cls, bits: bytes) -> "BitVector":
+        """Build from one byte (``0`` or ``1``) per bit, with no
+        per-bit Python step."""
+        return cls._from_value(_bits_value(bits), len(bits))
+
+    @classmethod
+    def _from_value(cls, value: int, length: int) -> "BitVector":
+        """The ``length``-bit vector whose bit ``i`` is bit ``i`` of
+        ``value``."""
         word_count = -(-length // WORD_BITS)
-        return BitVector(
+        return cls(
             unpack_words(value.to_bytes(word_count * _WORD_BYTES, "little")),
             length)
 

@@ -1,7 +1,7 @@
 """Columnar label view — parallel arrays for array-at-a-time execution.
 
-The succinct and interval stores answer *per-node* questions (``tag``,
-``parent``, ``pre_end``); the vectorized execution path
+The interval store answers *per-node* questions (``tags[p]``,
+``parent[p]``, ``string_value(p)``); the vectorized execution path
 (:mod:`repro.physical.columnar`) instead evaluates whole structural
 predicates as range operations over label **columns**: for a node with
 pre-order id ``p``,
@@ -29,7 +29,6 @@ memoized.
 from __future__ import annotations
 
 from array import array
-from typing import Optional
 
 from repro.storage.interval import IntervalDocument
 from repro.storage.succinct import KIND_ATTRIBUTE, KIND_ELEMENT, KIND_TEXT
@@ -49,14 +48,13 @@ class ColumnarView:
     __slots__ = ("end", "level", "parent", "node_count", "_tag_index",
                  "_kind_pres", "_kinds")
 
-    def __init__(self, interval: IntervalDocument, tag_index,
-                 kinds: Optional[bytes] = None):
+    def __init__(self, interval: IntervalDocument, tag_index):
         self.node_count = len(interval)
         self.end = interval.end
         self.level = interval.level
         self.parent = interval.parent
         self._tag_index = tag_index
-        self._kinds = interval.kinds if kinds is None else kinds
+        self._kinds = interval.kinds
         self._kind_pres: dict[int, array] = {}
 
     # -- key columns -------------------------------------------------------------

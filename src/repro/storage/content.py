@@ -15,7 +15,7 @@ charges.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional, Sequence
 
 __all__ = ["ContentStore"]
 
@@ -35,6 +35,17 @@ class ContentStore:
         # UTF-8 bytes of every stored value, tombstones included (the
         # heap is append-only): kept running so size_bytes() is O(1).
         self._payload = 0
+
+    @classmethod
+    def from_values(cls, values: Sequence[Optional[str]]) -> "ContentStore":
+        """A heap of the non-``None`` entries of a pre-order value
+        column, each owned by its position (content ids follow pre
+        order, as a single-pass build assigns them)."""
+        store = cls()
+        for owner, value in enumerate(values):
+            if value is not None:
+                store.append(value, owner)
+        return store
 
     def append(self, value: str, owner: int) -> int:
         """Store ``value`` for the node with pre-order id ``owner``;
@@ -69,6 +80,39 @@ class ContentStore:
         if self._owners[content_id] >= 0:
             self._owners[content_id] = -1
             self._dead += 1
+
+    def splice(self, start: int, stop: int,
+               values: Sequence[Optional[str]] = ()) -> list[int]:
+        """Follow a structural splice that replaced the pre ids
+        ``[start, stop)`` by ``len(values)`` new nodes whose leaf values
+        are ``values`` (``None`` for structural nodes).
+
+        One pass over the owner column tombstones the entries owned
+        inside ``[start, stop)`` and shifts the owners at or after
+        ``stop`` by the size change; the new values are then appended
+        (the heap is append-only, so they are the last content ids).
+        Returns the tombstoned content ids.
+        """
+        delta = len(values) - (stop - start)
+        owners = self._owners
+        doomed: list[int] = []
+        for content_id, owner in enumerate(owners):
+            if owner >= stop:
+                owners[content_id] = owner + delta
+            elif owner >= start:
+                owners[content_id] = -1
+                doomed.append(content_id)
+        self._dead += len(doomed)
+        for offset, value in enumerate(values):
+            if value is not None:
+                self.append(value, start + offset)
+        return doomed
+
+    def owner_map(self) -> dict[int, int]:
+        """``{owner pre id: content id}`` of the live entries."""
+        return {owner: content_id
+                for content_id, owner in enumerate(self._owners)
+                if owner >= 0}
 
     def is_dead(self, content_id: int) -> bool:
         """True when the entry was tombstoned by a deletion."""

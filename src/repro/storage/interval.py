@@ -1,31 +1,34 @@
-"""Interval (pre/post/level) encoding — the extended-relational baseline.
-
-The paper contrasts its succinct scheme with the extended-relational
-approach, which is "heavily dependent on the physical level representation
-(e.g., interval encoding [1]) of XML data" and whose shredding "store[s]
-them without considering their structural relationships" (Section 4.1).
+"""Interval (pre/post/level) label columns — each version's structure.
 
 :class:`IntervalDocument` shreds a document into the classic
 *(pre, post, level, parent)* labels, kept as columns indexed by pre id:
 ``end``, ``level`` and ``parent`` (``array('q')``), ``tags``, ``kinds``
 and ``values``.  ``pre`` is the position and ``post`` is ``end - level``
-(true of any ordered tree).  Structural predicates become label
+(true of any ordered tree) — the ``pre/size/level`` table of the
+relational XQuery literature.  Structural predicates become label
 arithmetic::
 
     a is an ancestor of d   iff   a.pre < d.pre  and  d.post < a.post
     p is the parent of c    iff   ancestor and p.level + 1 == c.level
 
+These columns are the one in-memory copy of the paper's pre-order
+linearisation that a database version holds: the NoK scan walks
+``level``/``tags``/``kinds``, the columnar kernels and the join
+baselines read ``end``/``parent``, and the version's
+:class:`~repro.storage.content.ContentStore` keeps the content apart.
+The ``level`` column determines the balanced parentheses of
+:class:`~repro.storage.succinct.SuccinctDocument` (the paper's storage
+format), which is encoded from it on demand; pre-order ids are assigned
+identically by both (document node 0, attribute children before element
+content).
+
 :class:`IntervalNode` records are read-only tuples built on demand for
 the join baselines and tests.
 
-Pre-order ids are assigned identically to
-:class:`~repro.storage.succinct.SuccinctDocument` (document node 0,
-attribute children before element content), so results from the two stores
-are directly comparable in the differential tests.
-
-The known pain point reproduced for experiment E7: inserting a subtree
-forces relabelling of every node whose *pre* follows the insertion point
-and every ancestor's *post* — Θ(n) in the worst case.
+The relabelling cost the paper holds against interval encoding is
+reproduced for experiment E7: inserting a subtree relabels every node
+whose *pre* follows the insertion point and every ancestor's *post* —
+Θ(n) in the worst case.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from repro.storage.succinct import (
     KIND_PI,
     KIND_TEXT,
     TEXT_TAG,
+    decode_snapshot,
 )
 
 __all__ = ["IntervalNode", "IntervalDocument", "shifted"]
@@ -228,7 +232,7 @@ class IntervalDocument:
         return self.records(pre for pre, name in enumerate(self.tags)
                             if name == tag)
 
-    def _child_pres(self, pre: int) -> Iterator[int]:
+    def child_pres(self, pre: int) -> Iterator[int]:
         """Child pre ids in document order (skips to each child's end)."""
         end = self.end
         child, stop = pre + 1, end[pre]
@@ -239,7 +243,7 @@ class IntervalDocument:
     def children_of(self, pre: int) -> Iterator[IntervalNode]:
         """Child records in document order."""
         self._check(pre)
-        return iter(self.records(self._child_pres(pre)))
+        return iter(self.records(self.child_pres(pre)))
 
     def string_value(self, pre: int) -> str:
         """Concatenated text content of the subtree at ``pre``."""
@@ -262,7 +266,7 @@ class IntervalDocument:
         self._check(parent)
         if self.kinds[parent] not in (KIND_ELEMENT, KIND_DOCUMENT):
             raise StorageError("can only insert under an element")
-        children = [child for child in self._child_pres(parent)
+        children = [child for child in self.child_pres(parent)
                     if self.kinds[child] != KIND_ATTRIBUTE]
         if position < 0 or position > len(children):
             raise StorageError(f"child position {position} out of range")
@@ -353,11 +357,10 @@ class IntervalDocument:
         """Plain-data state for the durability layer.
 
         The label columns (post, end, level, parent) are stored: ``pre``
-        is the position, and tags / kinds / values are shared with the
-        succinct store (identical pre-order numbering), so they are
-        reconstructed from it at load time instead of being written
-        twice.  ``post`` is redundant (``end - level``) and is checked
-        on restore.
+        is the position, and tags / kinds / values are written once, in
+        the succinct section, and decoded from it at load time.
+        ``post`` is redundant (``end - level``) and is checked on
+        restore.
         """
         return {
             "uri": self.uri,
@@ -368,29 +371,25 @@ class IntervalDocument:
         }
 
     @classmethod
-    def from_snapshot(cls, state: dict,
-                      succinct) -> "IntervalDocument":
-        """Rebuild the columns verbatim, resolving tags, kinds and leaf
-        values through the (already restored) succinct store.  Raises
+    def from_snapshot(cls, state: dict, succinct: dict,
+                      content) -> "IntervalDocument":
+        """Rebuild the columns verbatim; tags, kinds and leaf values come
+        from the succinct section ``succinct`` (values through
+        ``content``, the heap decoded from it) by
+        :func:`~repro.storage.succinct.decode_snapshot`.  Raises
         :class:`SnapshotCorruptError` when the stored ``post`` column
-        disagrees with ``end - level``."""
+        disagrees with ``end - level`` or the succinct section disagrees
+        with the ``level`` column."""
         document = cls()
         document.uri = state["uri"]
         document.end = array("q", state["end"])
         document.level = array("q", state["level"])
         document.parent = array("q", state["parent"])
-        count = len(document.end)
-        if count != succinct.node_count:
-            raise StorageError(
-                f"interval snapshot has {count} records but the succinct "
-                f"store holds {succinct.node_count} nodes")
         if state["post"] != list(map(sub, document.end, document.level)):
             raise SnapshotCorruptError(
                 "interval snapshot post column disagrees with end - level")
-        tags, kinds, values = succinct.columns()
-        document.tags = tags
-        document.kinds = bytearray(kinds)
-        document.values = list(map(values.get, range(count)))
+        document.tags, document.kinds, document.values = decode_snapshot(
+            succinct, document.level, content)
         return document
 
     # -- accounting -----------------------------------------------------------------

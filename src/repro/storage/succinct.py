@@ -6,6 +6,17 @@ bitvector records subtree extents; a parallel pre-order array holds tag
 symbols; and all character data lives in a separate
 :class:`~repro.storage.content.ContentStore`.
 
+It is the paper's **storage format**, not the engine's in-memory copy.
+A database version keeps the same pre-order linearisation once, as the
+``level``/``tags``/``kinds`` label columns of
+:class:`~repro.storage.interval.IntervalDocument` next to its own
+content heap; :meth:`SuccinctDocument.from_columns` encodes that form on
+demand (checkpoints write it, E1 reports its size), and
+:func:`decode_snapshot` reads a written one straight back into columns.
+The NoK matcher charges its scan to a structure segment sized by
+:func:`encoded_sizes`, the formula :meth:`SuccinctDocument.size_bytes`
+uses too.
+
 Node handles are **pre-order ids** (0 = the document node).  Attributes are
 materialised as children that precede the element's other children — this
 is how the NoK matcher sees the ``@`` axis as just another local edge, and
@@ -13,12 +24,12 @@ it matches streaming arrival order (attributes arrive with the start tag).
 
 The class offers three access styles:
 
-* random navigation (``parent`` / ``first_child`` / ``next_sibling`` ...),
-  used by the NoK matcher's navigational core;
+* random navigation (``parent`` / ``first_child`` / ``next_sibling`` ...)
+  by excess arithmetic on the parentheses;
 * a pre-order **scan** (:meth:`scan`), the single-pass interface whose cost
   is one sequential read of the structure segment — the heart of the
   paper's efficiency argument;
-* bulk export (:meth:`tag_postings`) feeding the join-based baselines.
+* bulk export (:meth:`tag_postings`).
 
 Updates
 -------
@@ -32,9 +43,11 @@ with the Θ(n) relabelling of interval encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from itertools import chain, islice
+from operator import sub
+from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.errors import StorageError
+from repro.errors import SnapshotCorruptError, StorageError
 from repro.xml import model
 from repro.xml.events import (
     Characters,
@@ -48,10 +61,11 @@ from repro.xml.events import (
     events_from_tree,
 )
 from repro.storage.balanced_parens import BalancedParens
-from repro.storage.bitvector import BitVectorBuilder
+from repro.storage.bitvector import WORD_BITS, BitVector, BitVectorBuilder
 from repro.storage.content import ContentStore
 
-__all__ = ["SuccinctDocument", "NodeInfo", "KIND_DOCUMENT", "KIND_ELEMENT",
+__all__ = ["SuccinctDocument", "NodeInfo", "encoded_sizes", "bp_bits",
+           "decode_snapshot", "KIND_DOCUMENT", "KIND_ELEMENT",
            "KIND_ATTRIBUTE", "KIND_TEXT", "KIND_COMMENT", "KIND_PI"]
 
 KIND_DOCUMENT = 0
@@ -64,6 +78,80 @@ KIND_PI = 5
 DOCUMENT_TAG = "#document"
 TEXT_TAG = "#text"
 COMMENT_TAG = "#comment"
+
+
+def encoded_sizes(node_count: int, alphabet_size: int) -> dict[str, int]:
+    """Bytes of the structure segment's parts for ``node_count`` nodes
+    over ``alphabet_size`` distinct tags (experiment E1's charges).
+
+    ``structure`` is the 2n BP bits plus the bitvector's rank directory
+    (8 bytes per word, one extra entry) and the excess directory
+    (6 bytes per word); tags are charged at ``ceil(log2 |alphabet|)``
+    bits each (the paper's succinct tag coding) and kinds at 3 bits.
+    """
+    bits = 2 * node_count
+    words = -(-bits // WORD_BITS)
+    tag_bits = max(1, (max(alphabet_size, 2) - 1).bit_length())
+    return {
+        "structure": (bits + 7) // 8 + 8 * (words + 1) + 6 * words,
+        "tags": (tag_bits * node_count + 7) // 8,
+        "kinds": (3 * node_count + 7) // 8,
+    }
+
+
+def bp_bits(level: Sequence[int]) -> BitVector:
+    """The balanced parentheses of a pre-order ``level`` column.
+
+    Node ``i`` opens after one close per level it climbs from node
+    ``i - 1`` (``level[i-1] + 1 - level[i]``); the last node is followed
+    by ``level[-1] + 1`` closes.  Raises :class:`StorageError` when
+    ``level`` is not the depth column of a tree rooted at node 0.
+    """
+    if not level:
+        return BitVector([], 0)
+    drops = list(map(sub, map((1).__add__, level), islice(level, 1, None)))
+    if level[0] != 0 or min(drops, default=0) < 0:
+        raise StorageError("not the level column of a pre-order tree")
+    runs = [b"\x00" * closes + b"\x01"
+            for closes in range(max(drops, default=0) + 1)]
+    return BitVector.from_bytes(b"".join(chain(
+        (b"\x01",), map(runs.__getitem__, drops),
+        (b"\x00" * (level[-1] + 1),))))
+
+
+def decode_snapshot(state: dict, level: Sequence[int],
+                    content: ContentStore
+                    ) -> tuple[list[str], bytearray, list[Optional[str]]]:
+    """The ``(tags, kinds, values)`` pre-order columns of a
+    :meth:`SuccinctDocument.to_snapshot` state, read straight off its
+    arrays (no :class:`BalancedParens` is built).  Values resolve
+    through ``content``, the heap decoded from the same state.
+
+    Raises :class:`SnapshotCorruptError` when the arrays disagree with
+    ``level`` on the node count, or when the BP bits are not the
+    encoding of ``level`` (which also rejects unbalanced bits).
+    """
+    count = len(level)
+    if not len(state["tags"]) == len(state["kinds"]) == count:
+        raise SnapshotCorruptError(
+            f"succinct snapshot holds {len(state['tags'])} tags and "
+            f"{len(state['kinds'])} kinds for {count} nodes")
+    try:
+        expected = bp_bits(level).to_snapshot()
+    except StorageError as error:
+        raise SnapshotCorruptError(str(error)) from error
+    stored = state["bp"]
+    if (stored["length"] != expected["length"]
+            or bytes(stored["words"]) != expected["words"]):
+        raise SnapshotCorruptError(
+            "succinct BP bits disagree with the level column")
+    symbols = state["symbols"]
+    values: list[Optional[str]] = [None] * count
+    for owner, content_id in zip(state["content_owners"],
+                                 state["content_ids"]):
+        values[owner] = content.get(content_id)
+    return (list(map(symbols.__getitem__, state["tags"])),
+            bytearray(state["kinds"]), values)
 
 
 @dataclass(frozen=True)
@@ -160,6 +248,24 @@ class SuccinctDocument:
     def from_document(cls, document: model.Document) -> "SuccinctDocument":
         """Build from an in-memory tree."""
         return cls.from_events(events_from_tree(document))
+
+    @classmethod
+    def from_columns(cls, interval, content: ContentStore
+                     ) -> "SuccinctDocument":
+        """Encode a document held as label columns (an
+        :class:`~repro.storage.interval.IntervalDocument`) and its
+        content heap: BP from the ``level`` column, tag symbols interned
+        in pre order, the kind bytes, and a copy of the heap (content
+        ids and tombstones kept, so the copy's owners are the
+        pre→content map)."""
+        store = cls()
+        store.uri = interval.uri
+        store._bp = BalancedParens(bp_bits(interval.level))
+        store._tags = list(map(store._intern, interval.tags))
+        store._kinds = bytearray(interval.kinds)
+        store._content = content.clone()
+        store._content_of = store._content.owner_map()
+        return store
 
     def _intern(self, tag: str) -> int:
         symbol = self._symbol_ids.get(tag)
@@ -348,16 +454,6 @@ class SuccinctDocument:
             if symbol is None or self._tags[preorder] == symbol:
                 yield preorder
 
-    def content_ids_in(self, preorder: int, count: int) -> list[int]:
-        """Content ids owned by nodes in ``[preorder, preorder+count)``.
-
-        Incremental value-index maintenance collects these *before* a
-        subtree deletion tombstones them.
-        """
-        return [content_id
-                for owner, content_id in self._content_of.items()
-                if preorder <= owner < preorder + count]
-
     def tag_postings(self) -> dict[str, list[int]]:
         """tag -> sorted pre-order ids, for building a
         :class:`~repro.storage.tagindex.TagIndex`."""
@@ -399,29 +495,27 @@ class SuccinctDocument:
         new_bits: list[int] = []
         new_tags: list[int] = []
         new_kinds: list[int] = []
-        new_content: list[tuple[int, str]] = []  # (relative preorder, text)
+        new_values: list[Optional[str]] = []    # leaf content, else None
+
+        def leaf(tag: str, kind: int, value: str) -> None:
+            new_bits.extend((1, 0))
+            new_tags.append(self._intern(tag))
+            new_kinds.append(kind)
+            new_values.append(value)
 
         def encode(element: model.Element) -> None:
             new_bits.append(1)
             new_tags.append(self._intern(element.tag))
             new_kinds.append(KIND_ELEMENT)
+            new_values.append(None)
             for attribute in element.attributes():
-                index = len(new_tags)
-                new_bits.append(1)
-                new_tags.append(self._intern("@" + attribute.attr_name))
-                new_kinds.append(KIND_ATTRIBUTE)
-                new_bits.append(0)
-                new_content.append((index, attribute.value))
+                leaf("@" + attribute.attr_name, KIND_ATTRIBUTE,
+                     attribute.value)
             for child in element.children():
                 if isinstance(child, model.Element):
                     encode(child)
                 elif isinstance(child, model.Text):
-                    index = len(new_tags)
-                    new_bits.append(1)
-                    new_tags.append(self._intern(TEXT_TAG))
-                    new_kinds.append(KIND_TEXT)
-                    new_bits.append(0)
-                    new_content.append((index, child.value))
+                    leaf(TEXT_TAG, KIND_TEXT, child.value)
             new_bits.append(0)
 
         encode(subtree)
@@ -435,18 +529,10 @@ class SuccinctDocument:
         self._bp = BalancedParens(
             old_bits.splice(anchor_position, anchor_position, new_bits))
 
-        # Renumber content ownership at or after the insertion point —
-        # in both directions: the preorder->content map and the content
-        # store's owner column (value indexes rebuild from the latter).
-        shifted_content = {}
-        for owner, content_id in self._content_of.items():
-            new_owner = owner + inserted if owner >= insert_at else owner
-            shifted_content[new_owner] = content_id
-            self._content.set_owner(content_id, new_owner)
-        self._content_of = shifted_content
-        for relative, text in new_content:
-            node = insert_at + relative
-            self._content_of[node] = self._content.append(text, node)
+        # The heap renumbers owners at or after the insertion point and
+        # appends the new leaves; the pre->content map follows it.
+        self._content.splice(insert_at, insert_at, new_values)
+        self._content_of = self._content.owner_map()
 
         return {
             "shifted_entries": len(self._tags) - insert_at - inserted,
@@ -456,7 +542,7 @@ class SuccinctDocument:
             # The heap is append-only, so the new entries are exactly the
             # last ``content_appended`` content ids — incremental value
             # indexes pick them up from the tail.
-            "content_appended": len(new_content),
+            "content_appended": len(new_values) - new_values.count(None),
         }
 
     def delete_subtree(self, preorder: int) -> dict[str, int]:
@@ -479,23 +565,13 @@ class SuccinctDocument:
         self._bp = BalancedParens(
             old_bits.splice(open_position, close_position + 1))
 
-        # Content entries of deleted nodes are dropped from the mapping
-        # and *tombstoned* in the heap (owner = -1), so value indexes that
-        # reference stable content ids can skip them lazily; survivors
-        # renumber.  (An append-only heap compacts on rebuild, like a real
-        # slotted store would vacuum.)
-        shifted: dict[int, int] = {}
-        dropped = 0
-        for owner, content_id in self._content_of.items():
-            if preorder <= owner < preorder + removed:
-                self._content.mark_dead(content_id)
-                dropped += 1
-                continue
-            new_owner = owner - removed if owner >= preorder + removed \
-                else owner
-            shifted[new_owner] = content_id
-            self._content.set_owner(content_id, new_owner)
-        self._content_of = shifted
+        # Content entries of deleted nodes are *tombstoned* in the heap
+        # (owner = -1), so value indexes that reference stable content
+        # ids can skip them lazily; survivors renumber.  (An append-only
+        # heap compacts on rebuild, like a real slotted store would
+        # vacuum.)
+        dropped = len(self._content.splice(preorder, preorder + removed))
+        self._content_of = self._content.owner_map()
         return {
             "removed_nodes": removed,
             "shifted_entries": len(self._tags) - preorder,
@@ -521,85 +597,25 @@ class SuccinctDocument:
             "content": self._content.to_snapshot(),
         }
 
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "SuccinctDocument":
-        """Rebuild a succinct store verbatim from :meth:`to_snapshot`
-        output — no event stream, no XML parsing."""
-        from repro.storage.bitvector import BitVector
-
-        store = cls()
-        store.uri = state["uri"]
-        store._bp = BalancedParens(BitVector.from_snapshot(state["bp"]))
-        store._tags = list(state["tags"])
-        store._kinds = bytearray(state["kinds"])
-        store._symbols = list(state["symbols"])
-        store._symbol_ids = {tag: symbol
-                             for symbol, tag in enumerate(store._symbols)}
-        store._content = ContentStore.from_snapshot(state["content"])
-        store._content_of = dict(zip(state["content_owners"],
-                                     state["content_ids"]))
-        if len(store._tags) != len(store._kinds):
-            raise StorageError(
-                "snapshot tag/kind arrays disagree in length")
-        return store
-
-    def clone(self) -> "SuccinctDocument":
-        """An independent copy for copy-on-write versioning.
-
-        Every mutable column (tags, kinds, symbol table, content heap,
-        preorder→content map) is copied, so the in-place splices of
-        :meth:`insert_subtree`/:meth:`delete_subtree` on the clone never
-        show through a reader pinned on the original.  The balanced-
-        parentheses directory is **shared**: :class:`BalancedParens` is
-        read-only after construction and both update paths replace
-        ``_bp`` wholesale with a freshly built instance, so the shared
-        object can never be patched under a pinned reader.
-        """
-        twin = SuccinctDocument()
-        twin.uri = self.uri
-        twin._bp = self._bp
-        twin._tags = list(self._tags)
-        twin._kinds = bytearray(self._kinds)
-        twin._symbols = list(self._symbols)
-        twin._symbol_ids = dict(self._symbol_ids)
-        twin._content = self._content.clone()
-        twin._content_of = dict(self._content_of)
-        return twin
-
-    def columns(self) -> tuple[list[str], bytearray, dict[int, str]]:
-        """Batch view for restore paths: (resolved tag per preorder,
-        kind bytes, {preorder: content string}).  One pass over the
-        internal arrays instead of per-node ``tag()``/``kind()``/
-        ``text_of()`` calls (each of which bounds-checks)."""
-        symbols = self._symbols
-        tags = [symbols[symbol] for symbol in self._tags]
-        content = self._content
-        values = {pre: content.get(content_id)
-                  for pre, content_id in self._content_of.items()}
-        return tags, self._kinds, values
-
     # -- accounting --------------------------------------------------------------
 
     def size_bytes(self) -> dict[str, int]:
         """Per-component byte accounting (experiment E1).
 
-        Tags are charged at ``ceil(log2 |alphabet|)`` bits each (the paper's
-        succinct tag coding); kinds at 3 bits; content references at 4
-        bytes per content entry.
+        Structure, tags and kinds are charged by :func:`encoded_sizes`
+        (the formula the structure segment is sized by); content
+        references at 8 bytes per live content entry.
         """
-        tag_bits = max(1, (max(len(self._symbols), 2) - 1).bit_length())
-        structure = self.bp.size_bytes()
-        tags = (tag_bits * len(self._tags) + 7) // 8
+        sizes = encoded_sizes(self.node_count, len(self._symbols))
         symbol_table = sum(len(s.encode("utf-8")) + 1 for s in self._symbols)
-        kinds = (3 * len(self._kinds) + 7) // 8
         content_refs = 8 * len(self._content_of)
         content = self._content.size_bytes()
-        total = structure + tags + symbol_table + kinds + content_refs + content
+        total = sum(sizes.values()) + symbol_table + content_refs + content
         return {
-            "structure": structure,
-            "tags": tags,
+            "structure": sizes["structure"],
+            "tags": sizes["tags"],
             "symbol_table": symbol_table,
-            "kinds": kinds,
+            "kinds": sizes["kinds"],
             "content_refs": content_refs,
             "content": content,
             "total": total,

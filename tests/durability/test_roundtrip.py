@@ -24,6 +24,7 @@ from repro.engine.database import Database
 from repro.storage.bitvector import BitVector
 from repro.storage.content import ContentStore
 from repro.storage.stats import DocumentStatistics
+from repro.storage.succinct import bp_bits
 from repro.storage.tagindex import TagIndex
 from repro.storage.valueindex import ContentIndex
 from repro.xml.parser import parse
@@ -70,7 +71,7 @@ def test_bitvector_roundtrip(seed, length):
 
 def test_bitvector_roundtrip_from_live_document():
     database = _loaded_database()
-    bits = database.document().succinct.bp.bits
+    bits = bp_bits(database.document().interval.level)
     restored = BitVector.from_snapshot(_wire(bits.to_snapshot()))
     assert list(restored) == list(bits)
     assert restored.ones == bits.ones
@@ -125,9 +126,9 @@ def test_value_index_roundtrip_with_live_tombstones():
     database.delete("/bib/book[title = 'Economics']")
     document = database.document()
     for index in (document.value_index, document.numeric_index):
-        assert document.succinct.content.dead_entries > 0
+        assert document.content.dead_entries > 0
         store = ContentStore.from_snapshot(
-            _wire(document.succinct.content.to_snapshot()))
+            _wire(document.content.to_snapshot()))
         restored = ContentIndex.restore(store, _wire(index.to_snapshot()))
         assert restored.numeric == index.numeric
         assert restored.entries() == index.entries()

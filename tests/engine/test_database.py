@@ -129,7 +129,7 @@ class TestExplainAndReports:
 
     def test_storage_report(self, db):
         report = db.storage_report()
-        assert report["nodes"] == db.document().succinct.node_count
+        assert report["nodes"] == len(db.document().interval)
         assert report["succinct"]["total"] > 0
         assert report["interval"]["total"] > 0
 

@@ -15,10 +15,10 @@ class TestMapping:
         database = Database()
         document = database.load_tree(tree, uri="m.xml")
         node_list = storage_node_list(tree)
-        assert len(node_list) == document.succinct.node_count
+        assert len(node_list) == len(document.interval)
         from repro.algebra.operators import storage_tag
         for preorder, node in enumerate(node_list):
-            assert storage_tag(node) == document.succinct.tag(preorder), \
+            assert storage_tag(node) == document.interval.tags[preorder], \
                 preorder
 
     def test_adjacent_texts_merge_to_one_storage_node(self):
@@ -72,7 +72,7 @@ class TestSharedScan:
         assert len(x_matches) == 2
         # Both matchers saw exactly one scan's worth of nodes.
         assert anchored.stats.nodes_visited == \
-            database.document().succinct.node_count
+            len(database.document().interval)
         assert matcher_b.stats.nodes_visited == \
             anchored.stats.nodes_visited
 

@@ -19,7 +19,7 @@ import random
 import threading
 import time
 
-from repro.engine.database import Database, DocumentVersion, LoadedDocument
+from repro.engine.database import Database
 
 DOC = """
 <shop>
@@ -48,12 +48,10 @@ class TestVersionPinning:
         assert v1 is not v0
         assert v1.version_id > v0.version_id
         assert v1.generation == v0.generation + 1
-        # LoadedDocument remains an alias of the version class.
-        assert LoadedDocument is DocumentVersion
 
     def test_pinned_version_is_frozen(self):
         """Everything hanging off a pinned version — interval records,
-        succinct store, tree, node list — is untouched by later
+        content heap, tree, node list — is untouched by later
         updates."""
         db = make_db()
         v0 = db.document()

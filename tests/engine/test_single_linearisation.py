@@ -1,0 +1,116 @@
+"""A version holds the pre-order structure once: as label columns.
+
+Loading, querying (every strategy, baselines included) and updating
+never build the succinct encoding's ``BitVector``/``BalancedParens``;
+the encoding is only built on demand (checkpoints, the storage report).
+The NoK structure segment is still sized as that encoding would be:
+its length equals the structure + tag + kind bytes of a succinct store
+built from the reference tree, through loads and updates that grow and
+shrink the tag alphabet.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.engine.database import Database
+from repro.physical.planner import STRATEGIES
+from repro.storage.balanced_parens import BalancedParens
+from repro.storage.bitvector import BitVector
+from repro.storage.succinct import SuccinctDocument
+from repro.workload import generate_xmark
+from repro.xml.serializer import serialize
+
+QUERIES = [
+    "/site/regions/*/item/name",
+    "//item[@id]/name",
+    "//person[name]/emailaddress",
+    "//item[payment = 'Creditcard']/location",
+    "//@id",
+]
+
+
+@pytest.fixture
+def constructions(monkeypatch) -> Counter:
+    """Counts ``BitVector`` and ``BalancedParens`` constructions."""
+    counts: Counter = Counter()
+    for cls in (BitVector, BalancedParens):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
+                     **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def _values(database: Database, query: str) -> list:
+    return [item.string_value() if hasattr(item, "string_value") else item
+            for item in database.reference_query(query)]
+
+
+def test_no_bp_built_by_load_queries_or_updates(constructions):
+    database = Database(result_cache_size=0)
+    database.load(serialize(generate_xmark(scale=10, seed=11)),
+                  uri="x.xml")
+    for query in QUERIES:
+        expected = _values(database, query)
+        for strategy in STRATEGIES:
+            result = database.query(query, strategy=strategy)
+            assert result.values() == expected, (query, strategy)
+    database.insert("/site/regions/asia",
+                    '<item id="new"><name>n</name></item>')
+    database.delete("/site/regions/europe/item[1]")
+    assert database.query("//item[@id = 'new']/name").values() == ["n"]
+    assert constructions == Counter()
+
+    # The counter is live: building the encoding on demand counts.
+    version = database.document()
+    SuccinctDocument.from_columns(version.interval, version.content)
+    assert constructions["BalancedParens"] == 1
+
+
+def _structure_extent(database: Database, uri: str) -> int:
+    return database.pages.segment(f"succinct:structure:{uri}").length
+
+
+def _encoded_extent(database: Database, uri: str) -> int:
+    sizes = SuccinctDocument.from_document(
+        database.document(uri).tree).size_bytes()
+    return sizes["structure"] + sizes["tags"] + sizes["kinds"]
+
+
+def test_structure_segment_tracks_the_reference_encoding():
+    """Nine distinct tags need 4-bit tag codes, eight need 3: the
+    deletions below shrink the alphabet across that boundary."""
+    database = Database()
+    database.load("<r><a/><b/><c/><d>t</d><e/><f/></r>", uri="s.xml")
+    assert _structure_extent(database, "s.xml") == \
+        _encoded_extent(database, "s.xml")
+    database.insert("/r", "<g><h/></g>")
+    assert _structure_extent(database, "s.xml") == \
+        _encoded_extent(database, "s.xml")
+    database.delete("/r/g")
+    database.delete("/r/f")
+    assert len(database.document().tag_index.tags()) == 8
+    assert _structure_extent(database, "s.xml") == \
+        _encoded_extent(database, "s.xml")
+
+
+def test_inserted_comments_and_pis_stay_aligned():
+    """A fragment's comments and processing instructions are nodes of
+    the label columns, the content heap and the model tree alike."""
+    database = Database(debug_checks=True)
+    database.load("<r><a><b>x</b></a><c/></r>", uri="t.xml")
+    database.insert("/r", '<item id="i"><!-- note --><name>n</name>'
+                          "<?audit weekly?></item>", position=0)
+    for query in ("//c", "//name", "//item/@id", "//b", "//a/b"):
+        expected = _values(database, query)
+        for strategy in STRATEGIES:
+            assert database.query(query, strategy=strategy).values() == \
+                expected, (query, strategy)
+    version = database.document()
+    built = SuccinctDocument.from_columns(version.interval, version.content)
+    fresh = SuccinctDocument.from_document(version.tree)
+    assert built.to_snapshot()["bp"] == fresh.to_snapshot()["bp"]
+    assert ([built.text_of(pre) for pre in range(built.node_count)]
+            == [fresh.text_of(pre) for pre in range(fresh.node_count)])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.database import Database
+from repro.storage.succinct import SuccinctDocument
 
 BASE = ('<shop>'
         '<item sku="s0"><name>n0</name><price>10</price></item>'
@@ -57,10 +58,10 @@ def test_updates_keep_engine_and_reference_aligned(script):
                 continue
             database.delete(f"/shop/item[{min(index, count)}]")
 
-    # Engine vs reference on every probe, via two different strategies.
+    # Engine vs reference on every probe, via three different strategies.
     for query in PROBES:
         reference = database.reference_query(query)
-        for strategy in ("nok", "structural-join"):
+        for strategy in ("nok", "structural-join", "navigational"):
             result = database.query(query, strategy=strategy)
             assert result.values() == [
                 item.string_value() if hasattr(item, "string_value")
@@ -73,7 +74,15 @@ def test_updates_keep_engine_and_reference_aligned(script):
     for index, record in enumerate(interval.nodes):
         assert record.pre == index
         assert record.pre <= record.end < len(interval.nodes)
-    succinct = database.document().succinct
-    assert succinct.node_count == len(interval.nodes)
-    for preorder in range(succinct.node_count):
-        assert succinct.tag(preorder) == interval.node(preorder).tag
+    # The succinct encoding built from the updated version equals the
+    # one built from the reference tree.
+    version = database.document()
+    built = SuccinctDocument.from_columns(version.interval, version.content)
+    fresh = SuccinctDocument.from_document(version.tree)
+    mine, theirs = built.to_snapshot(), fresh.to_snapshot()
+    assert mine["bp"] == theirs["bp"]
+    assert ([mine["symbols"][s] for s in mine["tags"]]
+            == [theirs["symbols"][s] for s in theirs["tags"]])
+    assert mine["kinds"] == theirs["kinds"]
+    assert ([built.text_of(pre) for pre in range(built.node_count)]
+            == [fresh.text_of(pre) for pre in range(fresh.node_count)])

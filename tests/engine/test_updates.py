@@ -61,8 +61,8 @@ class TestInsert:
 
     def test_metrics_returned(self, db):
         metrics = db.insert("/shop", NEW_ITEM)
-        assert metrics["succinct"]["inserted_nodes"] == 6
-        assert "relabelled" in metrics["interval"]
+        assert metrics["inserted_nodes"] == 6
+        assert "relabelled" in metrics
 
     def test_reference_and_engine_agree_after_insert(self, db):
         db.insert("/shop", NEW_ITEM, position=1)
@@ -126,8 +126,8 @@ class TestDelete:
 
     def test_metrics(self, db):
         metrics = db.delete("/shop/item[1]")
-        assert metrics["succinct"]["removed_nodes"] == 6
-        assert metrics["interval"]["removed_nodes"] == 6
+        assert metrics["removed_nodes"] == 6
+        assert "relabelled" in metrics
 
     def test_reference_agrees_after_delete(self, db):
         db.delete("/shop/item[2]")

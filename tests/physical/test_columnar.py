@@ -240,8 +240,7 @@ class TestEligibilityAndFallback:
         from repro.physical.base import MatchRuntime
 
         document = db.document()
-        bare = MatchRuntime(document.succinct, document.interval,
-                            document.tag_index)
+        bare = MatchRuntime(document.interval, document.tag_index)
         pattern = pattern_for("//item[name or price]")
         assert columnar_eligible(pattern)
         with pytest.raises(ExecutionError):
@@ -305,48 +304,40 @@ class TestViewLifecycle:
         view_a = runtime.columnar_view()
         view_b = runtime.columnar_view()
         assert view_a is view_b
-        assert view_a.node_count == db.document().succinct.node_count
+        assert view_a.node_count == len(db.document().interval)
         assert view_a.size_bytes() > 0
 
     def test_kindless_view_matches_kinded_view(self, db):
-        """Regression: a view built without a succinct kind column used
-        to cache *empty* kind arrays — wildcard/kind vertices silently
-        matched zero rows.  ``kinds=None`` must now derive the column
-        from the interval records and agree with the kinded view."""
-        from repro.storage.columns import ColumnarView
+        """Regression: a view once cached *empty* kind arrays —
+        wildcard/kind vertices silently matched zero rows.  Every kind
+        array the view derives must equal a scan of the interval
+        store's kind column."""
+        from repro.storage.succinct import (
+            KIND_ATTRIBUTE,
+            KIND_ELEMENT,
+            KIND_TEXT,
+        )
 
         document = db.document()
-        kinded = ColumnarView(document.interval, document.tag_index,
-                              kinds=document.succinct._kinds)
-        kindless = ColumnarView(document.interval, document.tag_index,
-                                kinds=None)
-        assert list(kindless.element_pres()) == list(kinded.element_pres())
-        assert list(kindless.attribute_pres()) == \
-            list(kinded.attribute_pres())
-        assert list(kindless.text_pres()) == list(kinded.text_pres())
-        # The fixture has elements, attributes (@id) and text nodes —
-        # none of these may be empty (the old bug's symptom).
-        assert len(kindless.element_pres()) > 0
-        assert len(kindless.attribute_pres()) > 0
-        assert len(kindless.text_pres()) > 0
+        view = document.runtime.columnar_view()
+        kinds = document.interval.kinds
+        for kind, derived in ((KIND_ELEMENT, view.element_pres()),
+                              (KIND_ATTRIBUTE, view.attribute_pres()),
+                              (KIND_TEXT, view.text_pres())):
+            scanned = [pre for pre, k in enumerate(kinds) if k == kind]
+            assert list(derived) == scanned
+            # The fixture has elements, attributes (@id) and text nodes —
+            # none of these may be empty (the old bug's symptom).
+            assert scanned
 
     def test_kindless_runtime_queries_match(self):
-        """End-to-end: a runtime whose succinct store exposes no
-        ``_kinds`` attribute (``physical/base.py`` probes it with
-        ``getattr``) still answers kind-probing columnar queries
-        correctly — the view derives the column instead of silently
-        matching zero rows."""
+        """End-to-end: a kind-probing columnar query (``//@id``) answers
+        what the reference evaluator does, not zero rows."""
         database = Database(result_cache_size=0)
         database.load(SAMPLE, uri="site.xml")
-        reference = database.query("//@id",
-                                   strategy="navigational").values()
-        document = database.document()
-        original = document.succinct._kinds
-        try:
-            del document.succinct._kinds
-            result = database.query("//@id", strategy="columnar")
-        finally:
-            document.succinct._kinds = original
+        reference = [item.string_value()
+                     for item in database.reference_query("//@id")]
+        result = database.query("//@id", strategy="columnar")
         assert result.values() == reference and reference
 
     def test_update_invalidates_view(self):

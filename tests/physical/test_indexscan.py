@@ -72,7 +72,7 @@ class TestNumericRanges:
         # for it: price > 10 excludes 9 and 7.5.
         result = run(db, "//item[price > 10]/name")
         doc = db.document()
-        names = {doc.succinct.string_value(p) for p in result}
+        names = {doc.interval.string_value(p) for p in result}
         assert names == {"rocket", "bird seed"}
 
     def test_combined_bounds(self, db):

@@ -82,7 +82,7 @@ class TestStreamingEqualsStorage:
         database = Database()
         database.load(SAMPLE, uri="bib.xml")
         assert matcher.stats.nodes_visited == \
-            database.document().succinct.node_count
+            len(database.document().interval)
 
 
 _TAGS = ["x", "y", "z"]

@@ -168,7 +168,7 @@ class TestStats:
         matcher = NoKMatcher(pattern)
         matcher.run(db.document().runtime)
         assert matcher.stats.nodes_visited == \
-            db.document().succinct.node_count
+            len(db.document().interval)
 
     def test_joins_count_postings(self, db):
         pattern = pattern_for("//item/name")

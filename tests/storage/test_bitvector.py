@@ -84,6 +84,13 @@ def test_select_inverts_rank(bits):
         assert vector.select0(k) == position
 
 
+@given(st.lists(st.integers(min_value=0, max_value=1), max_size=600))
+@settings(max_examples=80, deadline=None)
+def test_from_bytes_equals_from_bits(bits):
+    assert (BitVector.from_bytes(bytes(bits)).to_snapshot()
+            == BitVector.from_bits(bits).to_snapshot())
+
+
 def _check_splice(bits, start, stop, inserted):
     vector = BitVector.from_bits(bits).splice(start, stop, inserted)
     expected = bits[:start] + inserted + bits[stop:]

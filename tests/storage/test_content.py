@@ -53,6 +53,27 @@ class TestContentStore:
         store.append("é", owner=0)
         assert store.size_bytes() >= 2
 
+    def test_from_values_owns_by_position(self):
+        store = ContentStore.from_values([None, "a", None, "b"])
+        assert list(store) == [(0, "a", 1), (1, "b", 3)]
+
+    def test_splice_insert_shifts_and_appends(self):
+        store = self.make()
+        assert store.splice(5, 5, [None, "gamma"]) == []
+        assert [store.owner(i) for i in range(3)] == [3, 7, 11]
+        assert list(store)[3] == (3, "gamma", 6)
+        assert store.owner_map() == {3: 0, 6: 3, 7: 1, 11: 2}
+
+    def test_splice_delete_tombstones_and_shifts(self):
+        store = self.make()
+        assert store.splice(4, 6) == [1]
+        assert [store.owner(i) for i in range(3)] == [3, -1, 7]
+        assert store.dead_entries == 1
+        assert store.owner_map() == {3: 0, 7: 2}
+        # Tombstones stay put through later splices.
+        store.splice(0, 0, ["delta"])
+        assert [store.owner(i) for i in range(4)] == [4, -1, 8, 0]
+
 
 def recomputed_size(store: ContentStore) -> int:
     payload = sum(len(value.encode("utf-8")) for _, value, _ in store)

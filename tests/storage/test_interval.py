@@ -8,7 +8,7 @@ from repro.errors import SnapshotCorruptError, StorageError
 from repro.xml.model import Element
 from repro.xml.parser import parse
 from repro.storage.interval import IntervalDocument
-from repro.storage.succinct import KIND_ELEMENT, SuccinctDocument
+from repro.storage.succinct import KIND_ELEMENT, SuccinctDocument, bp_bits
 
 SAMPLE = (
     '<bib><book year="1994"><title>TCP/IP</title>'
@@ -159,8 +159,8 @@ class TestUpdates:
 class TestSnapshot:
     def test_roundtrip(self, doc):
         succinct = SuccinctDocument.from_document(parse(SAMPLE))
-        restored = IntervalDocument.from_snapshot(doc.to_snapshot(),
-                                                  succinct)
+        restored = IntervalDocument.from_snapshot(
+            doc.to_snapshot(), succinct.to_snapshot(), succinct.content)
         assert restored.nodes == doc.nodes
         assert restored.to_snapshot() == doc.to_snapshot()
 
@@ -173,7 +173,8 @@ class TestSnapshot:
         state = doc.to_snapshot()
         state[column][2] += 1
         with pytest.raises(SnapshotCorruptError):
-            IntervalDocument.from_snapshot(state, succinct)
+            IntervalDocument.from_snapshot(state, succinct.to_snapshot(),
+                                           succinct.content)
 
     def test_clone_is_independent(self, doc):
         twin = doc.clone()
@@ -230,6 +231,15 @@ def test_interval_and_succinct_agree_on_random_docs(text):
                 == succinct.subtree_size(record.pre))
         parent = succinct.parent(record.pre)
         assert record.parent == (-1 if parent is None else parent)
+    # The level column alone determines the balanced parentheses.
+    assert (bp_bits(interval.level).to_snapshot()
+            == succinct.bp.bits.to_snapshot())
+
+
+@pytest.mark.parametrize("level", [[1], [0, 2], [0, 1, 3]])
+def test_bp_bits_rejects_non_tree_levels(level):
+    with pytest.raises(StorageError):
+        bp_bits(level)
 
 
 class TestDeleteSubtree:

@@ -1,9 +1,8 @@
-"""Tests for the node table, tag index, and document statistics."""
+"""Tests for the tag index and document statistics."""
 
 import pytest
 
 from repro.xml.parser import parse
-from repro.baselines.relational import NodeTable
 from repro.storage.interval import IntervalDocument
 from repro.storage.pages import PageManager
 from repro.storage.stats import DocumentStatistics
@@ -52,67 +51,6 @@ class TestTagIndex:
     def test_size_bytes(self, doc):
         index = TagIndex(doc)
         assert index.size_bytes() >= 12 * len(doc.nodes)
-
-
-class TestNodeTable:
-    def test_scan_all_rows(self, doc):
-        table = NodeTable(doc)
-        assert len(list(table.scan())) == len(doc.nodes)
-
-    def test_scan_with_predicate(self, doc):
-        table = NodeTable(doc)
-        books = list(table.scan(lambda row: row.tag == "book"))
-        assert len(books) == 2
-
-    def test_index_lookup_tag(self, doc):
-        table = NodeTable(doc)
-        assert [r.tag for r in table.index_lookup_tag("title")] == \
-            ["title", "title"]
-
-    def test_index_lookup_value(self, doc):
-        table = NodeTable(doc)
-        rows = table.index_lookup_value("Stevens")
-        assert len(rows) == 1
-        assert rows[0].tag == "#text"
-
-    def test_index_lookup_value_without_index(self, doc):
-        table = NodeTable(doc, build_value_index=False)
-        rows = table.index_lookup_value("Stevens")
-        assert len(rows) == 1
-
-    def test_value_index_attribute_values(self, doc):
-        table = NodeTable(doc)
-        rows = table.index_lookup_value("1994")
-        assert [r.tag for r in rows] == ["@year"]
-
-    def test_containment_join_matches_naive(self, doc):
-        table = NodeTable(doc)
-        books = table.index_lookup_tag("book")
-        authors = table.index_lookup_tag("author")
-        joined = table.containment_join(books, authors)
-        naive = [(a, d) for a in books for d in authors if a.contains(d)]
-        assert sorted((a.pre, d.pre) for a, d in joined) == \
-            sorted((a.pre, d.pre) for a, d in naive)
-
-    def test_containment_join_parent_child(self, doc):
-        table = NodeTable(doc)
-        bib = table.index_lookup_tag("bib")
-        titles = table.index_lookup_tag("title")
-        assert table.containment_join(bib, titles, parent_child=True) == []
-        books = table.index_lookup_tag("book")
-        assert len(table.containment_join(books, titles,
-                                          parent_child=True)) == 2
-
-    def test_scan_charges_sequential_io(self, doc):
-        pages = PageManager(page_size=64)
-        table = NodeTable(doc, pages=pages)
-        pages.reset()
-        list(table.scan())
-        assert pages.counters.page_reads >= 1
-
-    def test_row_point_access(self, doc):
-        table = NodeTable(doc)
-        assert table.row(0).tag == "#document"
 
 
 class TestStatistics:

@@ -331,4 +331,7 @@ def test_splices_match_fresh_build(operations):
         assert ([mine["symbols"][s] for s in mine["tags"]]
                 == [theirs["symbols"][s] for s in theirs["tags"]])
         assert mine["kinds"] == theirs["kinds"]
-        assert store.columns()[2] == fresh.columns()[2]
+        assert ([store.text_of(pre) for pre in range(store.node_count)]
+                == [fresh.text_of(pre) for pre in range(fresh.node_count)])
+        # One size formula: it charges the spliced vector's real size.
+        assert store.size_bytes()["structure"] == store.bp.size_bytes()
