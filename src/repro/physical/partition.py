@@ -10,11 +10,12 @@
 (``//`` and ``~``), yielding a tree of :class:`Partition` objects — each a
 pure child/attribute (NoK) subpattern.  :class:`PartitionedMatcher`
 evaluates the root partition anchored at the query context and every other
-partition unanchored, with all partition automata advancing on ONE shared
-pre-order scan (:func:`repro.physical.nok.run_shared_scan`), then combines
-the partial results with interval-based structural joins — counting
-exactly how many joins the partitioning saved versus one-join-per-edge
-(experiment E8).
+partition unanchored.  The partitions' matchers are one NoK automaton over
+ONE pre-order scan (:func:`repro.physical.nok.run_shared_scan`, the scan
+:meth:`NoKMatcher.run` makes with a single matcher), which counts each
+partition's candidate work exactly; the partial results are then combined
+with interval-based structural joins — counting exactly how many joins
+the partitioning saved versus one-join-per-edge (experiment E8).
 """
 
 from __future__ import annotations
@@ -147,9 +148,10 @@ class PartitionedMatcher:
 
     def partition_tuples(self, runtime: MatchRuntime,
                          root: int = 0) -> list[dict]:
-        """Joined binding tuples over all partitions: every partition's
-        NoK automaton advances on ONE shared pre-order scan (the paper's
-        single pass), then the partial results join across cut edges."""
+        """Joined binding tuples over all partitions: the partitions'
+        matchers are one NoK automaton over ONE pre-order scan (the
+        paper's single pass), then the partial results join across cut
+        edges."""
         matchers = [NoKMatcher(partition.pattern,
                                anchored=partition.cut_edge is None)
                     for partition in self.partitions]
@@ -223,9 +225,6 @@ class PartitionedMatcher:
         high = bisect_right(right_keys, runtime.interval.end[parent])
         return [t for t in right_sorted[low:high]
                 if parents[t[root_original]] == parent]
-
-    def _partition_root_original(self, partition: Partition) -> int:
-        return self._root_original[partition.index]
 
     def join_count(self) -> int:
         """Structural joins a partitioned plan performs (== cut edges) —

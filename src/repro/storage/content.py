@@ -64,10 +64,6 @@ class ContentStore:
         """Pre-order id of the node owning ``content_id``."""
         return self._owners[content_id]
 
-    def set_owner(self, content_id: int, owner: int) -> None:
-        """Re-point an entry at a new owner (updates renumber nodes)."""
-        self._owners[content_id] = owner
-
     def mark_dead(self, content_id: int) -> None:
         """Tombstone an entry (owner = -1): its node was deleted.
 
@@ -157,7 +153,7 @@ class ContentStore:
 
     def clone(self) -> "ContentStore":
         """An independent copy for copy-on-write versioning: the new
-        heap shares no mutable state, so ``set_owner``/``mark_dead`` on
+        heap shares no mutable state, so ``splice``/``mark_dead`` on
         one version never shows through a reader pinned on another.
         The strings themselves are immutable and stay shared."""
         twin = ContentStore.__new__(ContentStore)

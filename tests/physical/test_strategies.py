@@ -20,8 +20,8 @@ from repro.baselines.pathstack import PathStackJoin
 from repro.baselines.structural_join import BinaryJoinMatcher
 from repro.baselines.twigstack import TwigStackJoin
 from repro.physical.indexscan import IndexScanMatcher
-from repro.physical.nok import NoKMatcher
-from repro.physical.partition import PartitionedMatcher
+from repro.physical.nok import NoKMatcher, run_shared_scan
+from repro.physical.partition import PartitionedMatcher, partition_pattern
 from repro.xml.parser import parse
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import evaluate_xpath
@@ -68,6 +68,9 @@ QUERIES = [
     "//item[price > 10]",
     "//desc/b",
     "/site//watches/watch",
+    "//person/@id",
+    "//*/name",
+    "//item//text()",
 ]
 
 
@@ -162,6 +165,26 @@ class TestStrategiesAgainstReference:
         assert actual == expected_preorders(db, query)
 
 
+class TestSharedScan:
+    # QUERIES holds every kind of unanchored partition root the scan
+    # hands to the automaton: a labelled element (//item/name), an
+    # attribute (//person/@id, //@id), a wildcard (//*/name) and text
+    # (//item//text()).
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_run_is_a_one_matcher_shared_scan(self, db, query):
+        runtime = db.document().runtime
+        for partition in partition_pattern(pattern_for(query)):
+            anchored = partition.cut_edge is None
+            alone = NoKMatcher(partition.pattern, anchored)
+            shared = NoKMatcher(partition.pattern, anchored)
+            assert alone.run(runtime) == \
+                run_shared_scan(runtime, [shared])[0]
+            assert alone.stats.nodes_visited == \
+                shared.stats.nodes_visited
+            assert alone.stats.intermediate_results == \
+                shared.stats.intermediate_results
+
+
 class TestStats:
     def test_nok_counts_one_pass(self, db):
         pattern = pattern_for("/site/regions/europe/item/name")
@@ -169,6 +192,26 @@ class TestStats:
         matcher.run(db.document().runtime)
         assert matcher.stats.nodes_visited == \
             len(db.document().interval)
+
+    @pytest.mark.parametrize("query", ["//item/name", "/site//item//name"])
+    def test_shared_scan_counts_each_matchers_intermediates(self, db,
+                                                            query):
+        runtime = db.document().runtime
+        partitions = partition_pattern(pattern_for(query))
+        assert len(partitions) >= 2
+
+        def matchers():
+            return [NoKMatcher(partition.pattern,
+                               anchored=partition.cut_edge is None)
+                    for partition in partitions]
+
+        alone = matchers()
+        for matcher in alone:
+            matcher.run(runtime)
+        shared = matchers()
+        run_shared_scan(runtime, shared)
+        assert [m.stats.intermediate_results for m in shared] == \
+            [m.stats.intermediate_results for m in alone]
 
     def test_joins_count_postings(self, db):
         pattern = pattern_for("//item/name")

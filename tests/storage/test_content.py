@@ -37,12 +37,6 @@ class TestContentStore:
         assert self.make().sorted_entries() == [
             ("alpha", 3), ("alpha", 9), ("beta", 5)]
 
-    def test_set_owner(self):
-        store = self.make()
-        store.set_owner(1, 42)
-        assert store.owner(1) == 42
-        assert store.sorted_entries()[-1] == ("beta", 42)
-
     def test_size_bytes_counts_payload_and_tables(self):
         store = self.make()
         payload = len("alphabetaalpha".encode("utf-8"))

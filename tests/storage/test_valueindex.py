@@ -26,8 +26,8 @@ class TestStringIndex:
 
     def test_owner_renumbering_is_transparent(self, store):
         index = ContentIndex(store)
-        store.set_owner(0, 20)          # a splice moved the node
-        assert sorted(index.search("alpha")) == [6, 20]
+        store.splice(3, 3, [None] * 14)   # 14 nodes inserted before pre 3
+        assert sorted(index.search("alpha")) == [2, 20]
 
     def test_tombstone_skipped_without_rebuild(self, store):
         index = ContentIndex(store)
