@@ -9,7 +9,7 @@ Two experiments over an XMark document:
   the speedup is the whole pipeline over one LRU lookup.
 * **update throughput** — the same insert/delete script applied through
   (a) the incremental derived-maintenance path and (b) the seed
-  behaviour (``rebuild_derived(force=True)`` after every splice).
+  behaviour (``rebuild_derived()`` after every splice).
 
 Artifacts: the usual table under ``benchmarks/results/e10_query_cache.txt``
 plus machine-readable numbers in
@@ -121,12 +121,12 @@ def run_update_experiment(scale: int, updates: int) -> dict:
             started = time.perf_counter()
             database.insert("/site/regions/europe", NEW_ITEM)
             if rebuild:
-                database.rebuild_derived(force=True)
+                database.rebuild_derived()
             samples.append(time.perf_counter() - started)
             started = time.perf_counter()
             database.delete("/site/regions/europe/item[last()]")
             if rebuild:
-                database.rebuild_derived(force=True)
+                database.rebuild_derived()
             samples.append(time.perf_counter() - started)
         return statistics.median(samples)
 

@@ -5,7 +5,8 @@ Every experiment writes its paper-style table to
 output capturing) and also prints it (visible with ``pytest -s`` or via
 ``python benchmarks/run_all.py``).  Generated documents and databases are
 cached per (generator, scale) so pytest-benchmark's repeated calls do not
-re-shred documents.
+re-shred documents.  The cached databases keep no result cache, so every
+timed run executes its query.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def xmark_database(scale: int, seed: int = 42,
                    pool_pages: int = 64) -> Database:
     """A database with one loaded XMark document (cached)."""
-    database = Database(pool_pages=pool_pages)
+    database = Database(pool_pages=pool_pages, result_cache_size=0)
     database.load_tree(generate_xmark(scale=scale, seed=seed),
                        uri="xmark.xml")
     return database
@@ -32,7 +33,7 @@ def xmark_database(scale: int, seed: int = 42,
 
 @functools.lru_cache(maxsize=None)
 def dblp_database(publications: int, seed: int = 7) -> Database:
-    database = Database()
+    database = Database(result_cache_size=0)
     database.load_tree(generate_dblp(publications=publications, seed=seed),
                        uri="dblp.xml")
     return database
@@ -41,7 +42,7 @@ def dblp_database(publications: int, seed: int = 7) -> Database:
 @functools.lru_cache(maxsize=None)
 def treebank_database(sentences: int, max_depth: int = 14,
                       seed: int = 11) -> Database:
-    database = Database()
+    database = Database(result_cache_size=0)
     database.load_tree(generate_treebank(sentences=sentences,
                                          max_depth=max_depth, seed=seed),
                        uri="treebank.xml")

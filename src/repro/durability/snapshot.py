@@ -27,8 +27,8 @@ navigated), and every derived structure — tag index, statistics, both
 value indexes — is restored *verbatim* through the storage classes'
 ``from_snapshot`` / ``restore`` constructors.  The only thing rebuilt is
 the model tree (reference semantics need live :mod:`repro.xml.model`
-objects), by :func:`materialise_tree` — one flat pass over the columns,
-no tokenizer.
+objects), by :func:`repro.storage.interval.materialise` — one flat pass
+over the columns, no tokenizer, the same builder every version uses.
 """
 
 from __future__ import annotations
@@ -38,21 +38,12 @@ from pathlib import Path
 from typing import BinaryIO, Union
 
 from repro.errors import SnapshotCorruptError
-from repro.xml import model
-from repro.storage.succinct import (
-    KIND_ATTRIBUTE,
-    KIND_COMMENT,
-    KIND_DOCUMENT,
-    KIND_ELEMENT,
-    KIND_PI,
-    KIND_TEXT,
-    SuccinctDocument,
-)
+from repro.storage.succinct import SuccinctDocument
 from repro.durability.format import pack_obj, unpack_obj, write_section, \
     read_sections
 
-__all__ = ["write_snapshot", "read_snapshot", "materialise_tree",
-           "SNAPSHOT_MAGIC", "SNAPSHOT_VERSION"]
+__all__ = ["write_snapshot", "read_snapshot", "SNAPSHOT_MAGIC",
+           "SNAPSHOT_VERSION"]
 
 SNAPSHOT_MAGIC = b"RXSNAP01"
 SNAPSHOT_VERSION = 1
@@ -156,46 +147,3 @@ def read_snapshot(source: Union[str, Path, bytes]) -> dict:
         "default_uri": meta["default_uri"],
         "documents": ordered,
     }
-
-
-def materialise_tree(interval, uri: str
-                     ) -> tuple[model.Document, list]:
-    """Model tree **and** storage node list from restored interval
-    columns — the recovery fast path.
-
-    The interval columns already carry everything the model needs
-    (kind, tag, value, parent) in exact storage pre-order, so one flat
-    loop over the zipped columns attaches each node to its (already
-    materialised) parent via the bulk ``adopt`` constructors — no BP
-    navigation, no per-node accessor calls, no separate
-    :func:`storage_node_list` walk.  Returns ``(document, node_list)``
-    where ``node_list[pre]`` is the model node for storage pre-order id
-    ``pre``.
-    """
-    kinds = interval.kinds
-    if not kinds or kinds[0] != KIND_DOCUMENT:
-        raise SnapshotCorruptError(
-            "interval columns do not start with a document node")
-    document = model.Document(uri=uri)
-    node_list: list = [document]
-    attach = node_list.append
-    for parent_pre, kind, tag, value in zip(
-            interval.parent[1:], kinds[1:], interval.tags[1:],
-            interval.values[1:]):
-        parent = node_list[parent_pre]
-        if kind == KIND_ELEMENT:
-            node = model.Element(tag)
-            parent.adopt(node)
-        elif kind == KIND_TEXT:
-            node = parent.adopt(model.Text(value or ""))
-        elif kind == KIND_ATTRIBUTE:
-            node = parent.adopt_attribute(tag[1:], value or "")
-        elif kind == KIND_COMMENT:
-            node = parent.adopt(model.Comment(value or ""))
-        elif kind == KIND_PI:
-            node = parent.adopt(model.ProcessingInstruction(
-                tag[1:], value or ""))
-        else:
-            raise SnapshotCorruptError(f"unknown node kind {kind}")
-        attach(node)
-    return document, node_list

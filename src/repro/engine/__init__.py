@@ -7,7 +7,6 @@ and XQuery, inspect EXPLAIN output and per-query metrics.
 
 from repro.engine.cache import PlanCache, PreparedQuery, ResultCache
 from repro.engine.database import Database, QueryResult
-from repro.engine.mapping import storage_preorder_map
 
 __all__ = ["Database", "PlanCache", "PreparedQuery", "QueryResult",
-           "ResultCache", "storage_preorder_map"]
+           "ResultCache"]

@@ -15,13 +15,16 @@ Typical use::
     hot.run(); hot.run()                   # served from the caches
     print(db.cache_report())
 
-A loaded document materialises the full storage stack: the model tree
-(reference semantics, residual checks), the label columns of the interval
-store (the one pre-order linearisation NoK scans and the columnar and
-join strategies read) with the tag index, the content heap and its value
-indexes (index-scan), one-pass statistics (cost model), all charging I/O
-to the database's page manager.  The paper's succinct encoding is built
-from the columns on demand, for checkpoints and the E1 storage report.
+A loaded document is shredded straight from its parse events into the
+label columns of the interval store — the one pre-order linearisation
+NoK scans and the columnar and join strategies read — with the tag
+index, the content heap and its value indexes (index-scan) and one-pass
+statistics (cost model), all charging I/O to the database's page
+manager.  The model tree (reference semantics, residual checks, query
+results) is a view of the columns: every version builds it, and its
+``pre -> node`` list, with :func:`repro.storage.interval.materialise`.
+The paper's succinct encoding is built from the columns on demand, for
+checkpoints and the E1 storage report.
 
 Serving layer
 -------------
@@ -34,10 +37,13 @@ result-cache entries lazily and expires memoized strategy choices.
 
 Updates are **incremental**: ``insert``/``delete`` splice the primary
 stores locally and apply *deltas* to every derived structure (tag index
-postings, statistics counters, value indexes, node list, pre-order map)
-instead of rebuilding them from scratch.  ``rebuild_derived(force=True)``
-remains as an escape hatch, and ``debug_checks=True`` cross-checks
-the incremental state against a fresh rebuild after every update.
+postings, statistics counters, value indexes) instead of rebuilding
+them from scratch; the successor's model tree gains the nodes built
+from the spliced pre range, or loses the deleted subtree.
+``rebuild_derived()`` remains as an escape hatch, and
+``debug_checks=True`` cross-checks the incremental state against a
+fresh rebuild (and the model nodes against the columns) after every
+update.
 
 Durability
 ----------
@@ -84,6 +90,7 @@ thread pool.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -93,18 +100,24 @@ from typing import Iterable, Optional, Union
 
 from repro.errors import ExecutionError, RecoveryError, StorageError
 from repro.xml import model
-from repro.xml.parser import parse
+from repro.xml.parser import filter_events, iterparse, parse
 from repro.xml.serializer import serialize
 from repro.xpath.semantics import Context, sequence_boolean
 from repro.storage.content import ContentStore
-from repro.storage.interval import IntervalDocument
+from repro.storage.interval import IntervalDocument, materialise
 from repro.storage.pages import PageManager, miss_rate
 from repro.storage.stats import DocumentStatistics
-from repro.storage.succinct import SuccinctDocument
+from repro.storage.succinct import (
+    KIND_ATTRIBUTE,
+    KIND_DOCUMENT,
+    KIND_ELEMENT,
+    SuccinctDocument,
+)
 from repro.storage.tagindex import TagIndex
 from repro.storage.valueindex import ContentIndex
 from repro.algebra.backward import backward_translate
 from repro.algebra.cost import CostModel
+from repro.algebra.operators import storage_tag
 from repro.algebra.plan import explain_plan
 from repro.algebra.rewrite import rewrite_plan
 from repro.engine.cache import (
@@ -113,14 +126,7 @@ from repro.engine.cache import (
     ResultCache,
 )
 from repro.durability.manager import DurabilityManager
-from repro.durability.snapshot import materialise_tree
 from repro.engine.executor import PhysicalExecutionContext, run_plan
-from repro.engine.mapping import (
-    apply_delete_mapping,
-    apply_insert_mapping,
-    storage_node_list,
-    storage_preorder_map,
-)
 from repro.observability import Observability
 from repro.observability.analyze import ExplainAnalysis
 from repro.physical.base import MatchRuntime
@@ -156,7 +162,6 @@ class DocumentVersion:
     numeric_index: ContentIndex
     runtime: MatchRuntime
     node_list: list            # storage pre-order id -> model node
-    preorder_map: dict         # model node_id -> storage pre-order id
     # Monotonically increasing update stamp; any structural change bumps
     # it in the successor version.  Kept distinct from ``version_id``
     # because the WAL records it (replay verification) and it restarts
@@ -491,8 +496,8 @@ class Database:
 
         Every derived structure — tag index, statistics, value indexes —
         is restored through its ``from_snapshot``/``restore``
-        constructor; only the model tree is rebuilt, by a pre-order walk
-        of the label columns (no XML tokenizer).  Called by recovery
+        constructor; only the model tree is rebuilt, from the label
+        columns (no XML tokenizer).  Called by recovery
         under the write lock; the restored state is published as one
         fresh snapshot (queries racing recovery see either nothing or
         everything).
@@ -515,23 +520,9 @@ class Database:
             numeric_index = ContentIndex.restore(
                 content, parts["numericindex"],
                 segment=self.pages.segment(f"numeric-btree:{uri}"))
-            tree, node_list = materialise_tree(interval, uri)
-            document = DocumentVersion(
-                uri=uri, tree=tree, interval=interval, content=content,
-                tag_index=tag_index, statistics=statistics,
-                value_index=value_index, numeric_index=numeric_index,
-                runtime=None,  # type: ignore[arg-type]
-                node_list=node_list,
-                preorder_map={node.node_id: pre for pre, node
-                              in enumerate(node_list)},
-                generation=header["generation"],
-                version_id=self._next_version_id())
-            document.runtime = MatchRuntime(
-                interval, tag_index, pages=self.pages,
-                residual_check=self._residual_checker(document),
-                value_index=value_index, numeric_index=numeric_index,
-                statistics=statistics)
-            documents[uri] = document
+            documents[uri] = self._new_version(
+                interval, content, tag_index, statistics, value_index,
+                numeric_index, generation=header["generation"])
         self._publish(documents, state["default_uri"],
                       state["load_epoch"])
 
@@ -617,9 +608,9 @@ class Database:
         op = record.get("op")
         if op == "load":
             self._publish_pending()
-            tree = parse(record["xml"], keep_whitespace=True,
-                         uri=record["uri"])
-            self._load_tree_locked(tree, record["uri"])
+            uri = record["uri"]
+            self._load_locked(IntervalDocument.from_events(
+                iterparse(record["xml"], uri=uri)), uri)
             return
         if op == "insert":
             self._insert_locked(record["parent_path"],
@@ -640,9 +631,12 @@ class Database:
 
     def load(self, text: str, uri: str = "doc.xml",
              keep_whitespace: bool = False) -> DocumentVersion:
-        """Parse and load XML text under ``uri``."""
-        return self.load_tree(parse(text, keep_whitespace=keep_whitespace,
-                                    uri=uri), uri=uri)
+        """Parse and load XML text under ``uri``: the parse events are
+        shredded straight into the label columns (whitespace filtered
+        as :func:`~repro.xml.parser.parse` does); no parse tree is
+        built."""
+        events = filter_events(iterparse(text, uri=uri), keep_whitespace)
+        return self._load(IntervalDocument.from_events(events), uri)
 
     def load_file(self, path, uri: Optional[str] = None) -> DocumentVersion:
         """Load an XML file (``uri`` defaults to the path)."""
@@ -651,7 +645,16 @@ class Database:
 
     def load_tree(self, tree: model.Document,
                   uri: str = "doc.xml") -> DocumentVersion:
-        """Load an already-built model tree (takes the write lock).
+        """Load the document ``tree`` holds.  ``tree`` is shredded into
+        the label columns and not kept: the version's own tree is built
+        from the columns (adjacent text siblings of ``tree`` are one
+        text node there, as they are in storage)."""
+        return self._load(IntervalDocument.from_document(tree), uri)
+
+    def _load(self, interval: IntervalDocument,
+              uri: str) -> DocumentVersion:
+        """Load freshly shredded columns under ``uri`` (takes the write
+        lock).
 
         On a durable database the load is logged (the serialized tree
         replays with whitespace preserved) and immediately followed by
@@ -660,44 +663,58 @@ class Database:
         """
         self._check_writable("load")
         with self.write_locked():
-            self._log_update({"op": "load", "uri": uri,
-                              "xml": serialize(tree)})
-            document = self._load_tree_locked(tree, uri)
-            if (self.durability is not None
-                    and not self.durability.replaying):
-                self.durability.checkpoint(self)
-            return document
+            return self._load_locked(interval, uri)
 
-    def _load_tree_locked(self, tree: model.Document,
-                          uri: str) -> DocumentVersion:
-        interval = IntervalDocument.from_document(tree)
+    def _load_locked(self, interval: IntervalDocument,
+                     uri: str) -> DocumentVersion:
         # Simulated I/O segments are named by the store's uri.
         interval.uri = uri
         content = ContentStore.from_values(interval.values)
-        tag_index = TagIndex(interval, pages=self.pages)
-        statistics = DocumentStatistics(interval)
         value_index, numeric_index = self._build_value_indexes(content, uri)
-        node_list = storage_node_list(tree)
-        preorder_map = storage_preorder_map(tree)
-        document = DocumentVersion(
-            uri=uri, tree=tree, interval=interval, content=content,
-            tag_index=tag_index, statistics=statistics,
-            value_index=value_index, numeric_index=numeric_index,
-            runtime=None,  # type: ignore[arg-type]
-            node_list=node_list, preorder_map=preorder_map,
-            version_id=self._next_version_id())
-        document.runtime = MatchRuntime(
-            interval, tag_index, pages=self.pages,
-            residual_check=self._residual_checker(document),
-            value_index=value_index, numeric_index=numeric_index,
-            statistics=statistics)
+        document = self._new_version(
+            interval, content, TagIndex(interval, pages=self.pages),
+            DocumentStatistics(interval), value_index, numeric_index,
+            generation=0)
+        durable = (self.durability is not None
+                   and not self.durability.replaying)
+        if durable:
+            # Fsynced before the publish: the WAL explains every
+            # version readers can see.
+            self._log_update({"op": "load", "uri": uri,
+                              "xml": serialize(document.tree)})
         snapshot = self._snapshot
         documents = dict(snapshot.documents)
         documents[uri] = document
         # A (re)load changes what any query can see: new stamp epoch.
         self._publish(documents, snapshot.default_uri or uri,
                       snapshot.load_epoch + 1)
+        if durable:
+            self.durability.checkpoint(self)
         return document
+
+    def _new_version(self, interval: IntervalDocument,
+                     content: ContentStore, tag_index: TagIndex,
+                     statistics: DocumentStatistics,
+                     value_index: ContentIndex,
+                     numeric_index: ContentIndex,
+                     generation: int) -> DocumentVersion:
+        """The one constructor of a :class:`DocumentVersion`: its model
+        tree and node list are materialised from ``interval`` and its
+        match runtime is wired to its stores (not published)."""
+        nodes = materialise(interval)
+        version = DocumentVersion(
+            uri=interval.uri, tree=nodes[0], interval=interval,
+            content=content, tag_index=tag_index, statistics=statistics,
+            value_index=value_index, numeric_index=numeric_index,
+            runtime=None,  # type: ignore[arg-type]
+            node_list=nodes, generation=generation,
+            version_id=self._next_version_id())
+        version.runtime = MatchRuntime(
+            interval, tag_index, pages=self.pages,
+            residual_check=self._residual_checker(version),
+            value_index=value_index, numeric_index=numeric_index,
+            statistics=statistics)
+        return version
 
     def _build_value_indexes(self, content: ContentStore,
                              uri: str) -> tuple[ContentIndex, ContentIndex]:
@@ -905,8 +922,8 @@ class Database:
                             io={k: 0 for k in
                                 self.pages.thread_snapshot()})
                 context = self._execution_context(uri, strategy,
+                                                  snapshot,
                                                   variables=variables,
-                                                  snapshot=snapshot,
                                                   deadline=deadline)
                 # Snapshot-and-diff the calling thread's *own* I/O
                 # counters (the seed diffed — and before that reset —
@@ -1259,8 +1276,7 @@ class Database:
             plan_text = self._explain_walk(plan, lines, planner, strategy)
             if not analyze:
                 return plan_text
-            context = self._execution_context(uri, strategy,
-                                              snapshot=snapshot)
+            context = self._execution_context(uri, strategy, snapshot)
             context.analyze_records = []
             io_before = self.pages.thread_snapshot()
             started = time.perf_counter()
@@ -1313,15 +1329,12 @@ class Database:
     # -- helpers ------------------------------------------------------------------
 
     def _execution_context(self, uri: Optional[str], strategy: str,
+                           snapshot: DatabaseSnapshot,
                            variables: Optional[dict] = None,
-                           snapshot: Optional[DatabaseSnapshot] = None,
                            deadline: Optional[float] = None
                            ) -> PhysicalExecutionContext:
-        """An execution context over one pinned snapshot (defaults to
-        pinning the current one) — every document the plan touches
-        resolves inside that snapshot."""
-        if snapshot is None:
-            snapshot = self._snapshot
+        """An execution context over one pinned snapshot — every
+        document the plan touches resolves inside that snapshot."""
         document = self._document_in(snapshot, uri)
         trees = {loaded_uri: doc.tree
                  for loaded_uri, doc in snapshot.documents.items()}
@@ -1368,12 +1381,12 @@ class Database:
         Copy-on-write: the current :class:`DocumentVersion` is cloned,
         the clone's label columns are spliced (their update metrics are
         returned), its content heap renumbers and appends the new
-        leaves, and every derived structure — tag
-        index, statistics, value indexes, pre-order maps — absorbs a
-        *local delta* for the inserted subtree; the finished clone is
-        then published as a new snapshot.  Queries pinned on the old
-        version never observe a mid-splice store — or this change at
-        all.
+        leaves, every derived structure — tag index, statistics, value
+        indexes — absorbs a *local delta* for the inserted subtree, and
+        the clone's model tree gains the nodes built from the spliced
+        pre range; the finished clone is then published as a new
+        snapshot.  Queries pinned on the old version never observe a
+        mid-splice store — or this change at all.
 
         Takes the write lock only to serialize against other writers.
         """
@@ -1420,10 +1433,10 @@ class Database:
         # Copy-on-write: all splicing happens on a private successor;
         # the published version (and everything readers may have
         # pinned) stays untouched.  The target maps to the successor
-        # through its storage pre-order id.
-        parent_pre = document.preorder_map[parent.node_id]
+        # through its storage pre-order id (one scan of the node list,
+        # which tracks every splice of a replay batch's successor).
+        parent_pre = document.node_list.index(parent)
         version = self._successor(document)
-        clone_parent = version.node_list[parent_pre]
 
         # Primary stores: the column splice (with the paper's cost
         # metrics), then one pass of the content heap's owner column.
@@ -1434,13 +1447,12 @@ class Database:
         version.content.splice(
             insert_pre, insert_pre,
             version.interval.values[insert_pre:insert_pre + count])
-        # The clone's model tree mirrors the change (it owns reference
-        # semantics).
-        clone_children = [c for c in clone_parent.children()]
-        clone_parent.insert(position if position < len(clone_children)
-                            else len(clone_children), subtree)
+        # The clone's model tree gains the spliced range's nodes.
+        nodes = materialise(version.interval, insert_pre)
+        version.node_list[parent_pre].insert(position, nodes[0])
+        version.node_list[insert_pre:insert_pre] = nodes
 
-        self._apply_insert_deltas(version, subtree, insert_pre, count,
+        self._apply_insert_deltas(version, insert_pre, count,
                                   range(appended, len(version.content)))
         return metrics
 
@@ -1473,7 +1485,7 @@ class Database:
             "op": "delete", "uri": document.uri, "path": path,
             "generation": document.generation + 1,
         })
-        preorder = document.preorder_map[victim.node_id]
+        preorder = document.node_list.index(victim)
         version = self._successor(document)
         clone_victim = version.node_list[preorder]
 
@@ -1487,9 +1499,9 @@ class Database:
         metrics = version.interval.delete_subtree(preorder)
         doomed_content = version.content.splice(preorder, preorder + count)
         clone_victim.parent.remove(clone_victim)
+        del version.node_list[preorder:preorder + count]
 
-        self._apply_delete_deltas(version, preorder, count,
-                                  doomed_content)
+        self._apply_delete_deltas(version, doomed_content)
         return metrics
 
     # -- copy-on-write version construction ---------------------------------------
@@ -1534,9 +1546,8 @@ class Database:
         — updates splice them in place); derived structures are rebuilt
         from their snapshot forms (the same restore constructors
         recovery uses, so no index is recomputed from scratch); the
-        model tree is re-materialised from the cloned interval
-        columns.  Immutable leaves (strings) stay shared.  The clone
-        starts with
+        model tree is materialised from the cloned interval columns.
+        Immutable leaves (strings) stay shared.  The clone starts with
         a fresh strategy memo — its statistics generation carries over,
         so hot patterns re-memoize after one cost-model pass.
         """
@@ -1552,29 +1563,15 @@ class Database:
         numeric_index = ContentIndex.restore(
             content, base.numeric_index.to_snapshot(),
             segment=self.pages.segment(f"numeric-btree:{uri}"))
-        tree, node_list = materialise_tree(interval, uri)
-        version = DocumentVersion(
-            uri=uri, tree=tree, interval=interval, content=content,
-            tag_index=tag_index, statistics=statistics,
-            value_index=value_index, numeric_index=numeric_index,
-            runtime=None,  # type: ignore[arg-type]
-            node_list=node_list,
-            preorder_map={node.node_id: pre for pre, node
-                          in enumerate(node_list)},
-            generation=base.generation,
-            version_id=self._next_version_id())
-        version.runtime = MatchRuntime(
-            interval, tag_index, pages=self.pages,
-            residual_check=self._residual_checker(version),
-            value_index=value_index, numeric_index=numeric_index,
-            statistics=statistics)
-        return version
+        return self._new_version(interval, content, tag_index, statistics,
+                                 value_index, numeric_index,
+                                 generation=base.generation)
 
     # -- incremental derived maintenance ------------------------------------------
 
     def _apply_insert_deltas(self, document: DocumentVersion,
-                             subtree: model.Element, insert_pre: int,
-                             count: int, appended: range) -> None:
+                             insert_pre: int, count: int,
+                             appended: range) -> None:
         """Absorb one inserted subtree into every derived structure
         (``appended``: the content ids of its new leaf values)."""
         document.tag_index.apply_insert(insert_pre, count)
@@ -1584,20 +1581,15 @@ class Database:
         for content_id in appended:
             document.value_index.add_content(content_id)
             document.numeric_index.add_content(content_id)
-        apply_insert_mapping(document.node_list, document.preorder_map,
-                             subtree, insert_pre, count)
         self._finish_update(document)
 
     def _apply_delete_deltas(self, document: DocumentVersion,
-                             delete_pre: int, count: int,
                              doomed_content: list[int]) -> None:
         """Absorb one deleted subtree into every derived structure
         (tag index + statistics already retracted pre-splice)."""
         document.statistics.finalize_update()
         document.value_index.drop_content(doomed_content)
         document.numeric_index.drop_content(doomed_content)
-        apply_delete_mapping(document.node_list, document.preorder_map,
-                             delete_pre, count)
         self._finish_update(document)
 
     def _finish_update(self, version: DocumentVersion) -> None:
@@ -1622,8 +1614,8 @@ class Database:
             # during replay).
             self.durability.maybe_checkpoint(self)
 
-    def rebuild_derived(self, uri: Optional[str] = None,
-                        force: bool = True) -> DocumentVersion:
+    def rebuild_derived(self, uri: Optional[str] = None
+                        ) -> DocumentVersion:
         """Escape hatch: rebuild every derived structure of ``uri``'s
         document from the primary stores (the pre-incremental
         behaviour), published as a new version.  Takes the write lock
@@ -1631,18 +1623,15 @@ class Database:
         """
         self._check_writable("rebuild_derived")
         with self.write_locked():
-            document = self.document(uri)
-            if force:
-                return self._rebuild_derived(document)
-            return document
+            return self._rebuild_derived(self.document(uri))
 
     def _rebuild_derived(self, base: DocumentVersion) -> DocumentVersion:
         """A successor version with freshly built derived structures.
 
-        The primary stores and the model tree are *shared* with
-        ``base``: writers only ever mutate clones, so sharing the
-        frozen primaries between versions is safe, and every derived
-        constructor here reads them without modification.
+        The primary stores are *shared* with ``base``: writers only
+        ever mutate clones, so sharing the frozen primaries between
+        versions is safe, and every derived constructor here reads
+        them without modification.
         """
         statistics = DocumentStatistics(base.interval)
         # Keep the statistics generation monotonic across rebuilds so
@@ -1651,21 +1640,10 @@ class Database:
         tag_index = TagIndex(base.interval, pages=self.pages)
         value_index, numeric_index = self._build_value_indexes(
             base.content, base.uri)
-        version = DocumentVersion(
-            uri=base.uri, tree=base.tree, interval=base.interval,
-            content=base.content, tag_index=tag_index,
-            statistics=statistics, value_index=value_index,
-            numeric_index=numeric_index,
-            runtime=None,  # type: ignore[arg-type]
-            node_list=storage_node_list(base.tree),
-            preorder_map=storage_preorder_map(base.tree),
-            generation=base.generation + 1,
-            version_id=self._next_version_id())
-        version.runtime = MatchRuntime(
-            base.interval, tag_index, pages=self.pages,
-            residual_check=self._residual_checker(version),
-            value_index=value_index, numeric_index=numeric_index,
-            statistics=statistics)
+        version = self._new_version(base.interval, base.content,
+                                    tag_index, statistics, value_index,
+                                    numeric_index,
+                                    generation=base.generation + 1)
         self._publish_version(version)
         return version
 
@@ -1690,18 +1668,27 @@ class Database:
                 flavour = "numeric" if index.numeric else "string"
                 raise StorageError(
                     f"incremental {flavour} value index diverged")
-        if document.node_list != storage_node_list(document.tree):
+        # The model nodes are a view of the columns: each carries the
+        # storage tag (which names its kind) of ``tags[pre]``, a leaf's
+        # value is ``values[pre]``, it hangs under
+        # ``node_list[parent[pre]]``, and the tree's document order is
+        # pre order with the attributes left out.
+        interval, nodes = document.interval, document.node_list
+        in_order = [node for node, kind in zip(nodes, interval.kinds)
+                    if kind != KIND_ATTRIBUTE]
+        walk = list(document.tree.descendant_or_self())
+        if (len(nodes) != len(interval) or len(walk) != len(in_order)
+                or any(map(operator.is_not, walk, in_order))):
             raise StorageError("incremental node list diverged")
-        if document.preorder_map != storage_preorder_map(document.tree):
-            raise StorageError("incremental preorder map diverged")
-
-    def loaded_for_tree(self, tree: model.Document
-                        ) -> Optional[DocumentVersion]:
-        """The version wrapping ``tree`` in the *current* snapshot
-        (identity match).  Executors resolve through their pinned
-        snapshot instead; this is the fallback for contexts built
-        without one."""
-        return self._snapshot.version_for_tree(tree)
+        for pre, (node, kind, tag, value, parent_pre) in enumerate(zip(
+                nodes, interval.kinds, interval.tags, interval.values,
+                interval.parent)):
+            parent = nodes[parent_pre] if parent_pre >= 0 else None
+            if (storage_tag(node) != tag or node.parent is not parent
+                    or (kind not in (KIND_ELEMENT, KIND_DOCUMENT)
+                        and node.string_value() != (value or ""))):
+                raise StorageError(
+                    f"incremental node list diverged at pre {pre}")
 
     def storage_report(self, uri: Optional[str] = None) -> dict:
         """Byte accounting of every storage structure (experiment E1);

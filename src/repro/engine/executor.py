@@ -47,14 +47,14 @@ class PhysicalExecutionContext(ExecutionContext):
 
     def __init__(self, database, documents, context_node=None,
                  strategy: str = "auto", variables: Optional[dict] = None,
-                 snapshot=None, deadline: Optional[float] = None):
+                 *, snapshot, deadline: Optional[float] = None):
         super().__init__(documents, variables=variables,
                          context_node=context_node)
         self.database = database
         # The pinned DatabaseSnapshot this execution runs against; τ
         # nodes resolve documents through it so a long-running query
         # keeps one consistent version of everything even while writers
-        # publish successors.  None = resolve in the current snapshot.
+        # publish successors.
         self.snapshot = snapshot
         self.strategy = strategy
         # Wall-clock deadline (time.monotonic() reference) after which
@@ -116,10 +116,7 @@ class PhysicalExecutionContext(ExecutionContext):
         if not isinstance(scan, Scan):
             raise ExecutionError("tau input must be a document scan")
         tree = execute_plan(scan, self)
-        if self.snapshot is not None:
-            loaded = self.snapshot.version_for_tree(tree)
-        else:
-            loaded = self.database.loaded_for_tree(tree)
+        loaded = self.snapshot.version_for_tree(tree)
         if loaded is None:
             raise ExecutionError(
                 f"document {getattr(tree, 'uri', '?')!r} has no storage "

@@ -32,7 +32,7 @@ Modules
 """
 
 from repro.storage.balanced_parens import BalancedParens
-from repro.storage.bitvector import BitVector, BitVectorBuilder
+from repro.storage.bitvector import BitVector
 from repro.storage.btree import BPlusTree
 from repro.storage.content import ContentStore
 from repro.storage.interval import IntervalDocument, IntervalNode
@@ -44,7 +44,6 @@ from repro.storage.tagindex import TagIndex
 __all__ = [
     "BalancedParens",
     "BitVector",
-    "BitVectorBuilder",
     "BPlusTree",
     "BufferPool",
     "ContentStore",

@@ -27,7 +27,7 @@ from array import array
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-__all__ = ["BitVector", "BitVectorBuilder"]
+__all__ = ["BitVector"]
 
 WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
@@ -58,50 +58,11 @@ def _bits_value(bits: bytes) -> int:
     return int(bits[::-1].translate(_ASCII_BITS) or b"0", 2)
 
 
-class BitVectorBuilder:
-    """Accumulates bits (in order) and builds an immutable
-    :class:`BitVector`."""
-
-    __slots__ = ("_words", "_length", "_current", "_filled")
-
-    def __init__(self):
-        self._words: list[int] = []
-        self._length = 0
-        self._current = 0
-        self._filled = 0
-
-    def append(self, bit: int) -> None:
-        """Append a single bit (``0``/``1`` or a boolean)."""
-        if bit:
-            self._current |= 1 << self._filled
-        self._filled += 1
-        self._length += 1
-        if self._filled == WORD_BITS:
-            self._words.append(self._current)
-            self._current = 0
-            self._filled = 0
-
-    def extend(self, bits: Iterable[int]) -> None:
-        """Append every bit of ``bits``."""
-        for bit in bits:
-            self.append(bit)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def build(self) -> "BitVector":
-        """Finish and return the immutable bitvector."""
-        words = list(self._words)
-        if self._filled:
-            words.append(self._current)
-        return BitVector(words, self._length)
-
-
 class BitVector:
     """Immutable sequence of bits with O(1) rank and O(log n) select.
 
-    Construct through :class:`BitVectorBuilder` or
-    :meth:`BitVector.from_bits`.
+    Construct through :meth:`BitVector.from_bits` or
+    :meth:`BitVector.from_bytes`.
     """
 
     __slots__ = ("_words", "_length", "_cum")
@@ -117,9 +78,7 @@ class BitVector:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
         """Build a bitvector from an iterable of 0/1 values."""
-        builder = BitVectorBuilder()
-        builder.extend(bits)
-        return builder.build()
+        return cls.from_bytes(bytes(map(bool, bits)))
 
     # -- basics -------------------------------------------------------------
 

@@ -23,7 +23,10 @@ identically by both (document node 0, attribute children before element
 content).
 
 :class:`IntervalNode` records are read-only tuples built on demand for
-the join baselines and tests.
+the join baselines and tests.  :func:`materialise` is the one builder of
+a version's :mod:`repro.xml.model` tree: the tree is a view of the
+columns, node ``pre`` built from ``kinds``/``tags``/``values[pre]`` and
+attached under node ``parent[pre]``.
 
 The relabelling cost the paper holds against interval encoding is
 reproduced for experiment E7: inserting a subtree relabels every node
@@ -65,7 +68,7 @@ from repro.storage.succinct import (
     decode_snapshot,
 )
 
-__all__ = ["IntervalNode", "IntervalDocument", "shifted"]
+__all__ = ["IntervalNode", "IntervalDocument", "materialise", "shifted"]
 
 
 class IntervalNode(NamedTuple):
@@ -420,3 +423,49 @@ def _wrap(element: model.Element) -> model.Document:
     document = model.Document()
     document.append(copy.deepcopy(element))
     return document
+
+
+def materialise(interval: IntervalDocument,
+                root: int = 0) -> list[model.Node]:
+    """The model nodes of the subtree at pre id ``root``, built from the
+    label columns, in pre order (``nodes[pre - root]``).
+
+    ``materialise(interval)`` is a version's whole tree (its document
+    node first) and its ``pre -> node`` list in one; an insert
+    materialises just the spliced subtree, whose root element comes
+    back detached for the caller to place.  One flat loop over the
+    zipped columns, no tree walk: pre order builds every parent before
+    its children.
+    """
+    kinds = interval.kinds
+    if root == 0:
+        if not kinds or kinds[0] != KIND_DOCUMENT:
+            raise SnapshotCorruptError(
+                "interval columns do not start with a document node")
+        nodes: list[model.Node] = [model.Document(uri=interval.uri)]
+        stop = len(kinds)
+    else:
+        nodes = [model.Element(interval.tags[root])]
+        stop = interval.end[root] + 1
+    append = nodes.append
+    start = root + 1
+    for parent_pre, kind, tag, value in zip(
+            interval.parent[start:stop], kinds[start:stop],
+            interval.tags[start:stop], interval.values[start:stop]):
+        parent = nodes[parent_pre - root]
+        if kind == KIND_ELEMENT:
+            node = model.Element(tag)
+            parent.adopt(node)
+        elif kind == KIND_TEXT:
+            node = parent.adopt(model.Text(value or ""))
+        elif kind == KIND_ATTRIBUTE:
+            node = parent.adopt_attribute(tag[1:], value or "")
+        elif kind == KIND_COMMENT:
+            node = parent.adopt(model.Comment(value or ""))
+        elif kind == KIND_PI:
+            node = parent.adopt(model.ProcessingInstruction(
+                tag[1:], value or ""))
+        else:
+            raise SnapshotCorruptError(f"unknown node kind {kind}")
+        append(node)
+    return nodes

@@ -61,7 +61,7 @@ from repro.xml.events import (
     events_from_tree,
 )
 from repro.storage.balanced_parens import BalancedParens
-from repro.storage.bitvector import WORD_BITS, BitVector, BitVectorBuilder
+from repro.storage.bitvector import WORD_BITS, BitVector
 from repro.storage.content import ContentStore
 
 __all__ = ["SuccinctDocument", "NodeInfo", "encoded_sizes", "bp_bits",
@@ -184,12 +184,12 @@ class SuccinctDocument:
     def from_events(cls, events: Iterable[Event]) -> "SuccinctDocument":
         """Build from a parse-event stream in a single pass."""
         store = cls()
-        builder = BitVectorBuilder()
+        bits = bytearray()        # one byte per BP bit
         preorder = 0
 
         def open_node(tag: str, kind: int) -> int:
             nonlocal preorder
-            builder.append(1)
+            bits.append(1)
             store._tags.append(store._intern(tag))
             store._kinds.append(kind)
             node = preorder
@@ -204,7 +204,7 @@ class SuccinctDocument:
         def flush_text() -> None:
             if pending_text:
                 node = open_node(TEXT_TAG, KIND_TEXT)
-                builder.append(0)
+                bits.append(0)
                 store._content_of[node] = store._content.append(
                     "".join(pending_text), node)
                 pending_text.clear()
@@ -215,24 +215,24 @@ class SuccinctDocument:
                 open_node(event.tag, KIND_ELEMENT)
                 for name, value in event.attributes:
                     attr = open_node("@" + name, KIND_ATTRIBUTE)
-                    builder.append(0)
+                    bits.append(0)
                     store._content_of[attr] = store._content.append(
                         value, attr)
             elif isinstance(event, EndElement):
                 flush_text()
-                builder.append(0)
+                bits.append(0)
             elif isinstance(event, Characters):
                 pending_text.append(event.value)
             elif isinstance(event, CommentEvent):
                 flush_text()
                 node = open_node(COMMENT_TAG, KIND_COMMENT)
-                builder.append(0)
+                bits.append(0)
                 store._content_of[node] = store._content.append(
                     event.value, node)
             elif isinstance(event, PIEvent):
                 flush_text()
                 node = open_node("?" + event.target, KIND_PI)
-                builder.append(0)
+                bits.append(0)
                 store._content_of[node] = store._content.append(
                     event.data, node)
             elif isinstance(event, StartDocument):
@@ -240,8 +240,8 @@ class SuccinctDocument:
                 open_node(DOCUMENT_TAG, KIND_DOCUMENT)
             elif isinstance(event, EndDocument):
                 flush_text()
-                builder.append(0)
-        store._bp = BalancedParens(builder.build())
+                bits.append(0)
+        store._bp = BalancedParens(BitVector.from_bytes(bytes(bits)))
         return store
 
     @classmethod

@@ -37,7 +37,7 @@ from repro.xml.events import (
     StartElement,
 )
 
-__all__ = ["iterparse", "parse", "parse_file"]
+__all__ = ["iterparse", "filter_events", "parse", "parse_file"]
 
 _PREDEFINED_ENTITIES = {
     "lt": "<",
@@ -293,17 +293,27 @@ def iterparse(text: str, uri: str = "") -> Iterator[Event]:
     yield EndDocument()
 
 
+def filter_events(events: Iterator[Event],
+                  keep_whitespace: bool = False) -> Iterator[Event]:
+    """``events`` as a document is built from them: with
+    ``keep_whitespace=False`` (the default) whitespace-only character
+    data — the usual "ignorable whitespace" of pretty-printed documents
+    — is dropped.  The one filter both :func:`build_tree` and the
+    database's shredder apply, so a parsed tree and a loaded version
+    hold the same nodes."""
+    if keep_whitespace:
+        return iter(events)
+    return (event for event in events
+            if not isinstance(event, Characters) or event.value.strip())
+
+
 def build_tree(events: Iterator[Event], keep_whitespace: bool = False,
                uri: str = "") -> model.Document:
-    """Assemble an event stream into a :class:`~repro.xml.model.Document`.
-
-    ``keep_whitespace=False`` (the default) drops whitespace-only text nodes
-    that sit between elements — the usual "ignorable whitespace" produced by
-    pretty-printed documents.
-    """
+    """Assemble an event stream into a :class:`~repro.xml.model.Document`
+    (whitespace handled by :func:`filter_events`)."""
     document = model.Document(uri=uri)
     stack: list[model._ParentNode] = [document]
-    for event in events:
+    for event in filter_events(events, keep_whitespace):
         if isinstance(event, StartElement):
             element = model.Element(event.tag)
             for name, value in event.attributes:
@@ -313,8 +323,6 @@ def build_tree(events: Iterator[Event], keep_whitespace: bool = False,
         elif isinstance(event, EndElement):
             stack.pop()
         elif isinstance(event, Characters):
-            if not keep_whitespace and not event.value.strip():
-                continue
             parent = stack[-1]
             if isinstance(parent, model.Element):
                 parent.append_text(event.value)

@@ -230,6 +230,30 @@ def test_unknown_wal_record_raises(tmp_path):
         Database.open(live)
 
 
+def test_replayed_delete_between_text_siblings_passes_debug_checks(
+        tmp_path):
+    """Deleting the element between two text nodes leaves two adjacent
+    text nodes in storage; the replayed version's model nodes must
+    stay aligned with them (a grouping walk that merged the two texts
+    failed the reopen's cross-check after the delete was already
+    durable)."""
+    live = tmp_path / "db"
+    db = Database.open(live, checkpoint_every=0)
+    db.load("<r>a<x/>b</r>", uri=URI)           # snapshot gen 1
+    db.delete("/r/x")                           # logged in wal gen 1
+    db.close()
+    recovered = Database.open(live, debug_checks=True)
+    try:
+        assert recovered.durability.last_recovery[
+            "wal_records_replayed"] == 1
+        assert recovered.query("/r/text()").values() == ["a", "b"]
+        assert [node.string_value() for node in
+                recovered.reference_query("/r/text()")] == ["a", "b"]
+        recovered.verify_derived(recovered.document(URI))
+    finally:
+        recovered.close()
+
+
 # -- crash inside checkpoint -------------------------------------------------------
 
 

@@ -54,6 +54,37 @@ class TestIncrementalPath:
         db.delete("/shop/item[1]")
         assert db.query("//item[note]/name").values() == ["n2"]
 
+    def test_delete_between_text_siblings_cross_checked(self):
+        # Storage keeps the two texts apart once <x/> is gone; so must
+        # the successor's model tree.
+        database = Database(debug_checks=True)
+        database.load("<r>a<x/>b</r>", uri="t.xml")
+        database.delete("/r/x")
+        document = database.document()
+        assert document.interval.tags == ["#document", "r", "#text",
+                                          "#text"]
+        assert [node.string_value() for node
+                in document.tree.root.children()] == ["a", "b"]
+        assert database.query("/r/text()").values() == ["a", "b"]
+        assert database.query("string(/r)").values() == ["ab"]
+
+    @pytest.mark.parametrize("drift", ["reorder", "extra", "value"])
+    def test_verify_checks_model_nodes_against_columns(self, db, drift):
+        from repro.errors import StorageError
+        from repro.xml.model import Text
+
+        document = db.document()
+        db.verify_derived(document)
+        shop = document.tree.root
+        if drift == "reorder":
+            shop.append(shop.remove(shop[0]))
+        elif drift == "extra":
+            shop.append(Text("stray"))
+        else:
+            document.node_for(5).value = "changed"   # the n0 text
+        with pytest.raises(StorageError):
+            db.verify_derived(document)
+
     def test_generation_counts_updates(self, db):
         document = db.document()
         assert document.generation == 0
@@ -69,7 +100,7 @@ class TestIncrementalPath:
         db.insert("/shop", '<item sku="y"><name>ny</name>'
                            '<price>7</price></item>')
         before = db.query("//item/name").values()
-        db.rebuild_derived(force=True)
+        db.rebuild_derived()
         db.verify_derived(db.document())
         assert db.query("//item/name").values() == before
 

@@ -3,40 +3,53 @@
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.mapping import storage_node_list, storage_preorder_map
+from repro.algebra.operators import storage_tag
 from repro.xml.model import Document, Element, Text
 from repro.xml.parser import parse
+from tests.engine.alignment import storage_groups
 
 
 class TestMapping:
+    """A version's model nodes are a view of its label columns."""
+
     def test_alignment_with_succinct_numbering(self):
         text = ('<a x="1" y="2">t1<b z="3">t2</b>t3<!--c--><?p d?></a>')
         tree = parse(text, keep_whitespace=True)
         database = Database()
         document = database.load_tree(tree, uri="m.xml")
-        node_list = storage_node_list(tree)
-        assert len(node_list) == len(document.interval)
-        from repro.algebra.operators import storage_tag
-        for preorder, node in enumerate(node_list):
+        assert len(document.node_list) == len(document.interval)
+        assert document.node_list[0] is document.tree
+        for preorder, node in enumerate(document.node_list):
             assert storage_tag(node) == document.interval.tags[preorder], \
                 preorder
+        # The same numbering an independent grouping of the source
+        # tree gives.
+        assert [storage_tag(nodes[0]) for nodes in storage_groups(tree)] \
+            == [storage_tag(node) for node in document.node_list]
 
     def test_adjacent_texts_merge_to_one_storage_node(self):
         tree = Document()
         root = tree.append(Element("r"))
-        first = root.append(Text("a"))
-        second = root.append(Text("b"))  # bypasses append_text merging
-        mapping = storage_preorder_map(tree)
-        assert mapping[first.node_id] == mapping[second.node_id]
-        node_list = storage_node_list(tree)
-        assert len(node_list) == 3  # document, r, merged text
+        root.append(Text("a"))
+        root.append(Text("b"))  # bypasses append_text merging
+        document = Database().load_tree(tree, uri="t.xml")
+        # The caller's tree is shredded, not kept: the version's tree
+        # holds one text node, as storage does.
+        assert document.tree is not tree
+        assert len(document.node_list) == 3  # document, r, merged text
+        (text,) = document.tree.root.children()
+        assert isinstance(text, Text) and text.value == "ab"
+        assert document.node_for(2) is text
 
     def test_map_round_trips(self):
-        tree = parse("<a><b/><c><d/></c></a>")
-        mapping = storage_preorder_map(tree)
-        node_list = storage_node_list(tree)
-        for node_id, preorder in mapping.items():
-            assert node_list[preorder].node_id == node_id
+        database = Database()
+        document = database.load("<a><b/><c k='v'><d/>x</c></a>")
+        for preorder, node in enumerate(document.node_list):
+            assert document.node_for(preorder) is node
+            assert document.node_list.index(node) == preorder
+            parent = document.interval.parent[preorder]
+            if parent >= 0:
+                assert node.parent is document.node_for(parent)
 
 
 class TestSharedScan:

@@ -161,7 +161,7 @@ class TestPublishAtomicity:
         db = make_db()
         v0 = db.document()
         memo_before = dict(v0.strategy_memo)
-        v1 = db.rebuild_derived(force=True)
+        v1 = db.rebuild_derived()
         assert v1 is not v0
         assert v1.version_id > v0.version_id
         assert v1.statistics.generation > v0.statistics.generation
@@ -198,7 +198,7 @@ class TestResultCacheStamps:
         db = make_db()
         db.query("//item/name")
         assert db.query("//item/name").stats["cache"]["result"] == "hit"
-        db.rebuild_derived(force=True)
+        db.rebuild_derived()
         assert db.query("//item/name").stats["cache"]["result"] == "miss"
 
 

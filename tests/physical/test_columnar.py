@@ -25,6 +25,7 @@ from repro.physical.partition import PartitionedMatcher
 from repro.physical.planner import STRATEGIES, PhysicalPlanner
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import evaluate_xpath
+from tests.engine.alignment import oracle_preorders
 
 SAMPLE = """
 <site>
@@ -83,11 +84,9 @@ def pattern_for(query):
     return compile_path(parse_xpath(query))
 
 
-def expected_preorders(database, query):
-    doc = database.document()
-    nodes = evaluate_xpath(query, doc.tree)
-    mapping = doc.preorder_map
-    return sorted({mapping[node.node_id] for node in nodes})
+def expected_preorders(text, query):
+    """The reference evaluator over an independent parse of ``text``."""
+    return oracle_preorders(text, lambda tree: evaluate_xpath(query, tree))
 
 
 class TestColumnarAgainstReference:
@@ -96,7 +95,7 @@ class TestColumnarAgainstReference:
         pattern = pattern_for(query)
         assert columnar_eligible(pattern)
         runtime = db.document().runtime
-        expected = expected_preorders(db, query)
+        expected = expected_preorders(SAMPLE, query)
         # Order-sensitive: exact list equality, not set equality.
         assert ColumnarMatcher(pattern).run(runtime) == expected, query
         assert NavigationalMatcher(pattern).run(runtime) == expected
@@ -138,7 +137,7 @@ class TestEdgeCases:
         """The document element itself is the only match."""
         query = "/site"
         assert ColumnarMatcher(pattern_for(query)).run(
-            db.document().runtime) == expected_preorders(db, query)
+            db.document().runtime) == expected_preorders(SAMPLE, query)
 
     def test_branch_prunes_root_to_empty(self, db):
         """A failing branch on the root-anchored chain empties the
@@ -152,20 +151,20 @@ class TestEdgeCases:
         for query in ("//name[. = 'Beta']", "//name/text()",
                       "//item[name = 'Gamma']//name"):
             assert ColumnarMatcher(pattern_for(query)).run(
-                db.document().runtime) == expected_preorders(db, query), \
+                db.document().runtime) == expected_preorders(SAMPLE, query), \
                 query
 
     def test_sibling_edges(self, db):
         query = "//name/following-sibling::price"
         assert ColumnarMatcher(pattern_for(query)).run(
-            db.document().runtime) == expected_preorders(db, query)
+            db.document().runtime) == expected_preorders(SAMPLE, query)
 
     def test_context_window_anchoring(self, db):
         """Anchored below the document root, candidates outside the
         context subtree window never appear."""
         runtime = db.document().runtime
         # pre id of <people>: evaluate its own query first.
-        people = expected_preorders(db, "/site/people")[0]
+        people = expected_preorders(SAMPLE, "/site/people")[0]
         pattern = compile_path(parse_xpath("name"),
                                root_kind="context")
         matches = ColumnarMatcher(pattern).run(runtime, root=people)
@@ -173,7 +172,7 @@ class TestEdgeCases:
         pattern = compile_path(parse_xpath(".//name"),
                                root_kind="context")
         matches = ColumnarMatcher(pattern).run(runtime, root=people)
-        expected = [p for p in expected_preorders(db, "//person/name")]
+        expected = [p for p in expected_preorders(SAMPLE, "//person/name")]
         assert matches == expected
 
 
@@ -201,7 +200,7 @@ class TestResidualPatterns:
     def test_residual_parity_against_reference(self, db, query):
         pattern = pattern_for(query)
         runtime = db.document().runtime
-        expected = expected_preorders(db, query)
+        expected = expected_preorders(SAMPLE, query)
         assert ColumnarMatcher(pattern).run(runtime) == expected, query
         assert NavigationalMatcher(pattern).run(runtime) == expected
         assert PartitionedMatcher(pattern).run(runtime) == expected
@@ -269,7 +268,7 @@ class TestEligibilityAndFallback:
             pattern_for("//item[name or price]"),
             db.document().runtime, strategy="columnar")
         assert used == "columnar"
-        assert matches == expected_preorders(db, "//item[name or price]")
+        assert matches == expected_preorders(SAMPLE, "//item[name or price]")
 
     def test_columnar_is_a_strategy(self):
         assert "columnar" in STRATEGIES
@@ -423,7 +422,7 @@ def test_random_differential(text, query):
     database = Database()
     database.load(text, uri="random.xml")
     runtime = database.document().runtime
-    expected = expected_preorders(database, query)
+    expected = expected_preorders(text, query)
     pattern = pattern_for(query)
     assert columnar_eligible(pattern)
 

@@ -8,6 +8,7 @@ from repro.algebra.pattern_graph import compile_path
 from repro.physical.indexscan import IndexScanMatcher
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import evaluate_xpath
+from tests.engine.alignment import oracle_preorders
 
 SHOP = """
 <shop>
@@ -33,27 +34,26 @@ def run(db, query):
     return IndexScanMatcher(pattern).run(db.document().runtime)
 
 
-def expected(db, query):
-    doc = db.document()
-    nodes = evaluate_xpath(query, doc.tree)
-    return sorted({doc.preorder_map[n.node_id] for n in nodes})
+def expected(text, query):
+    """The reference evaluator over an independent parse of ``text``."""
+    return oracle_preorders(text, lambda tree: evaluate_xpath(query, tree))
 
 
 class TestEqualityProbe:
     def test_element_value(self, db):
         assert run(db, "//item[name = 'rope']") == \
-            expected(db, "//item[name = 'rope']")
+            expected(SHOP, "//item[name = 'rope']")
 
     def test_attribute_value(self, db):
         assert run(db, "//item[@sku = 'a3']/name") == \
-            expected(db, "//item[@sku = 'a3']/name")
+            expected(SHOP, "//item[@sku = 'a3']/name")
 
     def test_no_match(self, db):
         assert run(db, "//item[name = 'unobtainium']") == []
 
     def test_numeric_equality_probes_canonical_text(self, db):
         assert run(db, "//item[price = 10]") == \
-            expected(db, "//item[price = 10]")
+            expected(SHOP, "//item[price = 10]")
 
 
 class TestNumericRanges:
@@ -65,7 +65,7 @@ class TestNumericRanges:
         "//item[price > 8][price < 30]" if False else "//item[price > 8]",
     ])
     def test_ranges_match_reference(self, db, query):
-        assert run(db, query) == expected(db, query)
+        assert run(db, query) == expected(SHOP, query)
 
     def test_string_order_trap(self, db):
         # "9" > "10" lexicographically; the numeric index must not fall
@@ -77,7 +77,7 @@ class TestNumericRanges:
 
     def test_combined_bounds(self, db):
         query = "//item[price > 8 and price < 30]"
-        assert run(db, query) == expected(db, query)
+        assert run(db, query) == expected(SHOP, query)
 
     def test_range_through_engine(self, db):
         result = db.query("//item[price > 10]", strategy="index-scan")
@@ -107,24 +107,25 @@ class TestVerification:
     def test_nested_text_reached_via_ancestors(self):
         # <a><b>foo</b></a>: the text's parent is b, but //a[. = 'foo']
         # must find a — candidates climb the ancestor chain.
+        text = "<r><a><b>foo</b></a><a><b>bar</b></a></r>"
         database = Database()
-        database.load("<r><a><b>foo</b></a><a><b>bar</b></a></r>",
-                      uri="n.xml")
+        database.load(text, uri="n.xml")
         query = "//a[. = 'foo']"
-        assert run(database, query) == expected(database, query) != []
+        assert run(database, query) == expected(text, query) != []
 
     def test_fragmented_values_refused_not_wrong(self):
         # <a>foo<b/>bar</a> has string value "foobar" spread over two
         # text runs — no index entry equals it, so a probe would miss
         # the element.  The matcher must refuse (lossy), and the engine
         # must still answer correctly by falling back to a scan.
+        text = "<r><a>foo<b/>bar</a><a>foobar</a></r>"
         database = Database()
-        database.load("<r><a>foo<b/>bar</a><a>foobar</a></r>", uri="m.xml")
+        database.load(text, uri="m.xml")
         query = "//a[. = 'foobar']"
         with pytest.raises(ExecutionError):
             run(database, query)
         result = database.query(query, strategy="index-scan")
-        assert len(result) == len(expected(database, query)) == 2
+        assert len(result) == len(expected(text, query)) == 2
         assert result.strategy in ("partitioned", "nok")
 
     def test_cost_model_avoids_fragmented_index(self):

@@ -25,6 +25,7 @@ from repro.baselines.twigstack import TwigStackJoin
 from repro.physical.nok import NoKMatcher
 from repro.physical.partition import PartitionedMatcher
 from repro.physical.planner import PhysicalPlanner
+from tests.engine.alignment import oracle_preorders
 
 _TAGS = ["a", "b", "c"]
 _ATTRS = ["k", "m"]
@@ -81,14 +82,11 @@ def random_patterns(draw):
     return graph
 
 
-def logical_matches(database, pattern):
-    """Ground truth: the logical τ over the model tree, mapped to
-    storage pre-order ids."""
-    document = database.document()
-    output = pattern.output_vertices()[0].vertex_id
-    nested = TreePatternMatch().apply(document.tree, pattern)
-    mapping = document.preorder_map
-    return sorted({mapping[node.node_id] for node in nested})
+def logical_matches(text, pattern):
+    """Ground truth: the logical τ over an independent parse of
+    ``text``, mapped to storage pre-order ids."""
+    return oracle_preorders(
+        text, lambda tree: TreePatternMatch().apply(tree, pattern))
 
 
 @given(random_documents(), random_patterns())
@@ -97,7 +95,7 @@ def test_all_strategies_match_logical_tau(text, pattern):
     database = Database()
     database.load(text, uri="r.xml")
     runtime = database.document().runtime
-    expected = logical_matches(database, pattern)
+    expected = logical_matches(text, pattern)
 
     assert BinaryJoinMatcher(pattern).run(runtime) == expected, "joins"
     assert NavigationalMatcher(pattern).run(runtime) == expected, "nav"

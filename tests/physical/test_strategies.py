@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.database import Database
-from repro.engine.mapping import storage_preorder_map
 from repro.errors import ExecutionError
 from repro.algebra.pattern_graph import compile_path
 from repro.baselines.navigational import NavigationalMatcher
@@ -22,9 +21,9 @@ from repro.baselines.twigstack import TwigStackJoin
 from repro.physical.indexscan import IndexScanMatcher
 from repro.physical.nok import NoKMatcher, run_shared_scan
 from repro.physical.partition import PartitionedMatcher, partition_pattern
-from repro.xml.parser import parse
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import evaluate_xpath
+from tests.engine.alignment import oracle_preorders
 
 SAMPLE = """
 <site>
@@ -81,11 +80,9 @@ def db():
     return database
 
 
-def expected_preorders(db, query):
-    doc = db.document()
-    nodes = evaluate_xpath(query, doc.tree)
-    mapping = doc.preorder_map
-    return sorted({mapping[node.node_id] for node in nodes})
+def expected_preorders(text, query):
+    """The reference evaluator over an independent parse of ``text``."""
+    return oracle_preorders(text, lambda tree: evaluate_xpath(query, tree))
 
 
 def pattern_for(query):
@@ -106,7 +103,7 @@ class TestStrategiesAgainstReference:
     @pytest.mark.parametrize("name", sorted(MATCHER_FACTORIES))
     def test_strategy_matches_reference(self, db, query, name):
         pattern = pattern_for(query)
-        expected = expected_preorders(db, query)
+        expected = expected_preorders(SAMPLE, query)
         runtime = db.document().runtime
         matcher = MATCHER_FACTORIES[name](pattern)
         if isinstance(matcher, NoKMatcher):
@@ -127,7 +124,7 @@ class TestStrategiesAgainstReference:
     def test_pathstack_on_linear_queries(self, db, query):
         pattern = pattern_for(query)
         actual = PathStackJoin(pattern).run(db.document().runtime)
-        assert actual == expected_preorders(db, query)
+        assert actual == expected_preorders(SAMPLE, query)
 
     @pytest.mark.parametrize("query", [
         "//item[price = 10]/name",
@@ -137,7 +134,7 @@ class TestStrategiesAgainstReference:
     def test_indexscan_on_value_queries(self, db, query):
         pattern = pattern_for(query)
         actual = IndexScanMatcher(pattern).run(db.document().runtime)
-        assert actual == expected_preorders(db, query)
+        assert actual == expected_preorders(SAMPLE, query)
 
     def test_pathstack_rejects_twigs(self, db):
         with pytest.raises(ExecutionError):
@@ -156,13 +153,13 @@ class TestStrategiesAgainstReference:
         pattern = pattern_for(query)
         assert not pattern.is_nok()
         actual = PartitionedMatcher(pattern).run(db.document().runtime)
-        assert actual == expected_preorders(db, query)
+        assert actual == expected_preorders(SAMPLE, query)
 
     def test_residual_predicates_supported(self, db):
         query = "//item[name or price]"
         pattern = pattern_for(query)
         actual = PartitionedMatcher(pattern).run(db.document().runtime)
-        assert actual == expected_preorders(db, query)
+        assert actual == expected_preorders(SAMPLE, query)
 
 
 class TestSharedScan:
@@ -271,7 +268,7 @@ def test_random_differential(text, query):
     database = Database()
     database.load(text, uri="random.xml")
     doc = database.document()
-    expected = expected_preorders(database, query)
+    expected = expected_preorders(text, query)
     pattern = compile_path(parse_xpath(query))
     runtime = doc.runtime
 

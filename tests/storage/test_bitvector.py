@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.bitvector import BitVector, BitVectorBuilder
+from repro.storage.bitvector import BitVector
 
 
 class TestBasics:
@@ -32,12 +32,10 @@ class TestBasics:
         with pytest.raises(IndexError):
             vector.select0(1)
 
-    def test_builder_word_boundaries(self):
-        builder = BitVectorBuilder()
+    def test_from_bits_word_boundaries(self):
         bits = ([1] * 64) + [0, 1, 0]
-        builder.extend(bits)
-        assert len(builder) == 67
-        vector = builder.build()
+        vector = BitVector.from_bits(bits)
+        assert len(vector) == 67
         assert list(vector) == bits
         assert vector.ones == 65
 
