@@ -1,19 +1,26 @@
-"""Oracle alignment for differential tests: model nodes → storage pre ids.
+"""Independent oracles for differential tests.
 
 A database version's model tree is built from the label columns it is
 checked against, so a differential test must evaluate the reference
 semantics over its *own* parse of the source text and compare pre-order
-ids.  :func:`storage_preorder_map` numbers an independently parsed tree
-the way the shredder numbers storage: document, then per element — the
-element, its attributes, then its content with *adjacent text runs
-merged into one node*.  It is written against the model alone and
-shares no code with the engine.
+ids or values.  :func:`storage_preorder_map` numbers an independently
+parsed tree the way the shredder numbers storage: document, then per
+element — the element, its attributes, then its content with *adjacent
+text runs merged into one node*.  :class:`ShadowDocument` replays a
+database's inserts and deletes on such a tree with plain model edits.
+Both are written against the model and the reference interpreter alone
+and share no code with the engine's storage or its tree builder.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 from repro.xml import model
 from repro.xml.parser import parse
+from repro.xml.serializer import serialize
+from repro.xpath.semantics import evaluate_xpath
+from repro.xquery.interpreter import evaluate_xquery
 
 
 def storage_preorder_map(document: model.Document) -> dict[int, int]:
@@ -59,3 +66,99 @@ def oracle_preorders(text: str, evaluate) -> list[int]:
     tree = parse(text)
     mapping = storage_preorder_map(tree)
     return sorted({mapping[node.node_id] for node in evaluate(tree)})
+
+
+def engine_preorder_map(version) -> dict[int, int]:
+    """``id(model node) -> storage pre id`` for a database version's
+    own nodes (the positions of its ``node_list``)."""
+    return {id(node): pre for pre, node in enumerate(version.node_list)}
+
+
+def engine_preorders(database, query: str, strategy: str = "auto") -> list:
+    """Storage pre ids of the nodes ``database.query`` returns for the
+    default document, in result order."""
+    mapping = engine_preorder_map(database.document())
+    return [mapping[id(node)]
+            for node in database.query(query, strategy=strategy).items]
+
+
+def item_keys(items, document: model.Document,
+              preorder_of: Callable[[model.Node], int]) -> list:
+    """Comparable keys of a result sequence, in sequence order: a node
+    of ``document`` by its storage pre id and string value, a
+    constructed node by its serialization, an atomic value as itself."""
+    keys = []
+    for item in items:
+        if isinstance(item, model.Node):
+            if item.document is document:
+                keys.append(("node", preorder_of(item),
+                             item.string_value()))
+            else:
+                keys.append(("constructed", serialize(item)))
+        else:
+            keys.append(("atom", item))
+    return keys
+
+
+def engine_keys(database, result) -> list:
+    """:func:`item_keys` of a ``QueryResult`` over the default document."""
+    version = database.document()
+    mapping = engine_preorder_map(version)
+    return item_keys(result.items, version.tree,
+                     lambda node: mapping[id(node)])
+
+
+def string_values(items) -> list:
+    """``QueryResult.values()`` of a reference result sequence."""
+    return [item.string_value() if hasattr(item, "string_value") else item
+            for item in items]
+
+
+class ShadowDocument:
+    """One database document modelled independently of the engine.
+
+    The source text is parsed on its own (as ``Database.load`` parses
+    it), queries run on the reference interpreter, and every insert or
+    delete the database is given is applied to this tree with plain
+    model edits, so a wrong value or parent link in the engine's spliced
+    columns — or in the tree it builds from them — shows as a
+    difference.
+    """
+
+    def __init__(self, text: str, uri: str = ""):
+        self.uri = uri
+        self.tree = parse(text, uri=uri)
+
+    def query(self, query: str) -> list:
+        return evaluate_xquery(query, documents={self.uri: self.tree},
+                               context_node=self.tree)
+
+    def values(self, query: str) -> list:
+        return string_values(self.query(query))
+
+    def preorders(self, query: str) -> list[int]:
+        """Storage pre ids of the query's nodes, in result order.  Valid
+        while no delete has left two text siblings adjacent."""
+        mapping = storage_preorder_map(self.tree)
+        return [mapping[node.node_id] for node in self.query(query)]
+
+    def keys(self, query: str) -> list:
+        """:func:`item_keys` of the query's result, with the same
+        validity condition as :meth:`preorders`."""
+        mapping = storage_preorder_map(self.tree)
+        return item_keys(self.query(query), self.tree,
+                         lambda node: mapping[node.node_id])
+
+    def insert(self, parent_path: str, fragment: str,
+               position: Optional[int] = None) -> None:
+        (parent,) = evaluate_xpath(parent_path, self.tree)
+        wrapper = parse(f"<wrap>{fragment}</wrap>")
+        (subtree,) = wrapper.root.children()
+        wrapper.root.remove(subtree)
+        if position is None:
+            position = len(list(parent.children()))
+        parent.insert(position, subtree)
+
+    def delete(self, path: str) -> None:
+        (victim,) = evaluate_xpath(path, self.tree)
+        victim.parent.remove(victim)

@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.cache import LRUCache
 from repro.engine.database import Database
+from tests.engine.alignment import ShadowDocument
 
 STRESS_WORKERS = int(os.environ.get("REPRO_STRESS_WORKERS", "8"))
 
@@ -271,11 +272,10 @@ class TestConcurrentServing:
     def test_concurrent_cold_compiles_are_safe(self):
         db = Database()
         db.load(_catalog_document(8), uri="site.xml")
-        serial = {q: db.reference_query(q) for q in ("//item/name",)}
+        expected = ShadowDocument(_catalog_document(8),
+                                  uri="site.xml").values("//item/name")
         results = db.query_many(["//item/name"] * 16,
                                 max_workers=STRESS_WORKERS)
-        expected = [node.string_value()
-                    for node in serial["//item/name"]]
         for result in results:
             assert result.values() == expected
 

@@ -6,6 +6,7 @@ import pytest
 from repro.engine.database import Database
 from repro.errors import ExecutionError
 from repro.xml.model import Element
+from tests.engine.alignment import ShadowDocument, engine_preorders
 
 BIB = """
 <bib>
@@ -41,10 +42,8 @@ class TestQueryAcrossStrategies:
     @pytest.mark.parametrize("query", QUERIES)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_all_strategies_agree_with_reference(self, db, query, strategy):
-        expected = db.reference_query(query)
-        result = db.query(query, strategy=strategy)
-        assert [n.node_id for n in result.items] == \
-            [n.node_id for n in expected]
+        expected = ShadowDocument(BIB, uri="bib.xml").preorders(query)
+        assert engine_preorders(db, query, strategy) == expected
 
     def test_index_scan_strategy(self, db):
         result = db.query("//book[title = 'Economics']",

@@ -2,15 +2,16 @@
 
 Random documents × random query shapes, executed through the full engine
 pipeline (parse → translate → backward analysis → rewrite → physical
-lowering) under every strategy, must match the reference interpreter.
-This is the highest-level safety net in the suite.
+lowering) under every strategy, must match the reference interpreter
+run over an independent parse of the same text (nodes compared by
+storage pre id).  This is the highest-level safety net in the suite.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.database import Database
-from repro.xml import model
+from tests.engine.alignment import ShadowDocument, engine_keys
 
 _TAGS = ["a", "b", "c"]
 
@@ -45,21 +46,6 @@ _XQUERY_QUERIES = [
 ]
 
 
-def keys(items):
-    out = []
-    for item in items:
-        if isinstance(item, model.Node):
-            if item.document is None:
-                from repro.xml.serializer import serialize
-                out.append(("detached", serialize(item)))
-            else:
-                from repro.xpath.semantics import document_order_key
-                out.append(("node", document_order_key(item)))
-        else:
-            out.append(("atom", item))
-    return out
-
-
 @given(documents(), st.sampled_from(_XPATH_QUERIES),
        st.sampled_from(["nok", "partitioned", "columnar", "index-scan",
                         "structural-join", "pathstack", "twigstack",
@@ -68,9 +54,9 @@ def keys(items):
 def test_xpath_differential(text, query, strategy):
     database = Database()
     database.load(text, uri="d.xml")
-    expected = database.reference_query(query)
+    expected = ShadowDocument(text, uri="d.xml").keys(query)
     result = database.query(query, strategy=strategy)
-    assert keys(result.items) == keys(expected)
+    assert engine_keys(database, result) == expected
 
 
 @given(documents(), st.sampled_from(_XQUERY_QUERIES))
@@ -78,6 +64,6 @@ def test_xpath_differential(text, query, strategy):
 def test_xquery_differential(text, query):
     database = Database()
     database.load(text, uri="d.xml")
-    expected = database.reference_query(query)
+    expected = ShadowDocument(text, uri="d.xml").keys(query)
     result = database.query(query)
-    assert keys(result.items) == keys(expected)
+    assert engine_keys(database, result) == expected

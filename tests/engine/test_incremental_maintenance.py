@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.database import Database
+from tests.engine.alignment import ShadowDocument
 
 SHOP = ('<shop>'
         '<item sku="s0"><name>n0</name><price>10</price></item>'
@@ -152,6 +153,7 @@ def update_scripts(draw):
 def test_random_scripts_survive_debug_cross_check(script):
     database = Database(debug_checks=True)
     database.load(SHOP, uri="shop.xml")
+    oracle = ShadowDocument(SHOP, uri="shop.xml")
     for action in script:
         if action[0] == "insert":
             _, path, fragment, position = action
@@ -160,17 +162,17 @@ def test_random_scripts_survive_debug_cross_check(script):
             count = len(database.query(path + "/*"))
             database.insert(path, fragment,
                             position=min(position, count))
+            oracle.insert(path, fragment, min(position, count))
         else:
             _, index, _, _ = action
             count = len(database.query("/shop/item"))
             if count == 0:
                 continue
             database.delete(f"/shop/item[{min(index, count)}]")
+            oracle.delete(f"/shop/item[{min(index, count)}]")
     for query in ("//item", "//item/name", "//name", "count(//item)",
                   "//item[price > 15]/name"):
-        reference = [item.string_value()
-                     if hasattr(item, "string_value") else item
-                     for item in database.reference_query(query)]
+        reference = oracle.values(query)
         for strategy in ("auto", "nok", "structural-join"):
             assert database.query(query, strategy=strategy).values() \
                 == reference, (query, strategy)

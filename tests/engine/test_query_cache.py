@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine.cache import LRUCache, normalize_query
 from repro.engine.database import Database
+from tests.engine.alignment import ShadowDocument
 
 BIB = """
 <bib>
@@ -45,14 +46,11 @@ class TestPlanAndResultCache:
         for query in queries:
             result = db.query(query)
             cold.setdefault(query, result.values())
+        oracle = ShadowDocument(BIB, uri="bib.xml")
         for query in queries:
             warm = db.query(query)
             assert warm.values() == cold[query], query
-            reference = db.reference_query(query)
-            expected = [item.string_value()
-                        if hasattr(item, "string_value") else item
-                        for item in reference]
-            assert warm.values() == expected, query
+            assert warm.values() == oracle.values(query), query
 
     def test_second_run_hits_both_caches(self, db):
         db.query("//book/title")
@@ -138,19 +136,21 @@ class TestInvalidation:
 
     def test_stale_results_impossible_after_update_storm(self, db):
         rng = random.Random(3)
+        oracle = ShadowDocument(BIB, uri="bib.xml")
         for step in range(6):
             count = len(db.query("//book"))
             if rng.random() < 0.5 or count <= 1:
-                db.insert("/bib", f"<book><title>t{step}</title>"
-                                  f"<price>{step}</price></book>")
+                fragment = (f"<book><title>t{step}</title>"
+                            f"<price>{step}</price></book>")
+                db.insert("/bib", fragment)
+                oracle.insert("/bib", fragment)
             else:
-                db.delete(f"/bib/book[{rng.randint(1, count)}]")
+                victim = f"/bib/book[{rng.randint(1, count)}]"
+                db.delete(victim)
+                oracle.delete(victim)
             for query in ("//book/title", "count(//book)"):
-                engine = db.query(query).values()
-                reference = [item.string_value()
-                             if hasattr(item, "string_value") else item
-                             for item in db.reference_query(query)]
-                assert engine == reference, (step, query)
+                assert db.query(query).values() == oracle.values(query), \
+                    (step, query)
 
     def test_reload_invalidates_results(self, db):
         db.query("//book/title")

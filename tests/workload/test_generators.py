@@ -19,6 +19,7 @@ from repro.workload.queries import (
 )
 from repro.xml.serializer import serialize
 from repro.xpath.semantics import evaluate_xpath
+from tests.engine.alignment import engine_preorders, storage_preorder_map
 
 
 class TestXMark:
@@ -107,6 +108,15 @@ class TestQuerySets:
         database.load_tree(generate_xmark(scale=60), uri="xmark.xml")
         return database
 
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """Storage pre ids the reference evaluator selects on a second,
+        independently generated copy of the document."""
+        tree = generate_xmark(scale=60)
+        mapping = storage_preorder_map(tree)
+        return lambda query: [mapping[node.node_id]
+                              for node in evaluate_xpath(query, tree)]
+
     def test_linear_paths_return_results(self, db):
         for length, query in LINEAR_PATHS.items():
             assert len(db.query(query)) > 0, query
@@ -115,19 +125,15 @@ class TestQuerySets:
         for name, query in TWIG_QUERIES.items():
             assert len(db.query(query)) > 0, name
 
-    def test_xmark_query_set(self, db):
+    def test_xmark_query_set(self, db, reference):
         for name, query in XMARK_QUERY_SET.items():
-            result = db.query(query)
-            reference = db.reference_query(query)
-            assert [n.node_id for n in result.items] == \
-                [n.node_id for n in reference], name
+            assert engine_preorders(db, query) == reference(query), \
+                name
 
-    def test_sibling_queries(self, db):
+    def test_sibling_queries(self, db, reference):
         for name, query in SIBLING_QUERIES.items():
-            result = db.query(query)
-            reference = db.reference_query(query)
-            assert [n.node_id for n in result.items] == \
-                [n.node_id for n in reference], name
+            assert engine_preorders(db, query) == reference(query), \
+                name
 
     def test_selectivity_query_builds(self, db):
         name = db.query("//item/name").values()[0]
