@@ -192,19 +192,21 @@ class StructuralJoin(Operator):
         self.pairs = pairs
 
     def _satisfied(self, left: model.Node, right: model.Node) -> bool:
+        # Nodes compare with ==: a stored node's handles are built
+        # afresh on every navigation (repro.storage.handles).
         if self.relation == REL_CHILD:
-            return right.parent is left \
+            return right.parent == left \
                 and not isinstance(right, model.Attribute)
         if self.relation == REL_ATTRIBUTE:
-            return isinstance(right, model.Attribute) and right.parent is left
+            return isinstance(right, model.Attribute) and right.parent == left
         if self.relation == REL_DESCENDANT:
             if isinstance(right, model.Attribute):
                 owner = right.parent
-                return owner is left or (owner is not None
+                return owner == left or (owner is not None
                                          and left.is_ancestor_of(owner))
             return left.is_ancestor_of(right)
         # following-sibling
-        return (left.parent is not None and right.parent is left.parent
+        return (left.parent is not None and right.parent == left.parent
                 and left.before(right))
 
     def _run(self, left: list, right: list):

@@ -25,10 +25,10 @@ the succinct section decodes straight into the tag, kind and value
 columns (its BP bits are checked against the ``level`` column, not
 navigated), and every derived structure — tag index, statistics, both
 value indexes — is restored *verbatim* through the storage classes'
-``from_snapshot`` / ``restore`` constructors.  The only thing rebuilt is
-the model tree (reference semantics need live :mod:`repro.xml.model`
-objects), by :func:`repro.storage.interval.materialise` — one flat pass
-over the columns, no tokenizer, the same builder every version uses.
+``from_snapshot`` / ``restore`` constructors.  Nothing is built per
+node: a restored version's query results are handles on its columns
+(:mod:`repro.storage.handles`), and its model tree is built only if an
+API caller asks for ``version.tree``.
 """
 
 from __future__ import annotations

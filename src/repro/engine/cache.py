@@ -23,7 +23,10 @@ Three caches fix that:
     :class:`~repro.engine.database.DatabaseSnapshot`).  Any
     ``insert``/``delete``/``load``/``rebuild_derived`` publishes new
     version ids, so stale hits are structurally impossible: a stamp
-    mismatch is treated as a miss and the dead entry is dropped.
+    mismatch is treated as a miss and the dead entry is dropped, and
+    each publish drops every stale entry at once
+    (:meth:`ResultCache.drop_stale`), so cached node handles never keep
+    a retired version alive.
     Queries with external variable bindings bypass this cache (bindings
     are not part of the key).
 
@@ -293,6 +296,18 @@ class ResultCache:
     def store(self, key: tuple, stamp: tuple, items: list,
               strategy: Optional[str]) -> None:
         self._lru.put(key, (stamp, list(items), strategy))
+
+    def drop_stale(self, stamp: tuple) -> int:
+        """Drop every entry whose stamp is not ``stamp`` (the database
+        calls this at each publish, so no retired version stays pinned
+        by a cached result); returns the number dropped."""
+        lru = self._lru
+        with lru.lock:
+            stale = [key for key, (cached_stamp, _, _)
+                     in lru._entries.items() if cached_stamp != stamp]
+            for key in stale:
+                lru.invalidate(key)
+        return len(stale)
 
     def clear(self) -> int:
         return self._lru.clear()

@@ -20,11 +20,11 @@ label columns of the interval store — the one pre-order linearisation
 NoK scans and the columnar and join strategies read — with the tag
 index, the content heap and its value indexes (index-scan) and one-pass
 statistics (cost model), all charging I/O to the database's page
-manager.  The model tree (reference semantics, residual checks, query
-results) is a view of the columns: every version builds it, and its
-``pre -> node`` list, with :func:`repro.storage.interval.materialise`.
-The paper's succinct encoding is built from the columns on demand, for
-checkpoints and the E1 storage report.
+manager.  A query result is a :mod:`~repro.storage.handles` handle on
+``(version, pre)`` that reads the columns and the content heap; no
+engine path builds a model tree (``version.tree`` is built on first
+access, for API callers).  The paper's succinct encoding is built from
+the columns on demand, for checkpoints and the E1 storage report.
 
 Serving layer
 -------------
@@ -38,12 +38,10 @@ result-cache entries lazily and expires memoized strategy choices.
 Updates are **incremental**: ``insert``/``delete`` splice the primary
 stores locally and apply *deltas* to every derived structure (tag index
 postings, statistics counters, value indexes) instead of rebuilding
-them from scratch; the successor's model tree gains the nodes built
-from the spliced pre range, or loses the deleted subtree.
-``rebuild_derived()`` remains as an escape hatch, and
+them from scratch, in the pre space of the handle the target path
+selects.  ``rebuild_derived()`` remains as an escape hatch, and
 ``debug_checks=True`` cross-checks the incremental state against a
-fresh rebuild (and the model nodes against the columns) after every
-update.
+fresh rebuild after every update.
 
 Durability
 ----------
@@ -90,9 +88,9 @@ thread pool.
 
 from __future__ import annotations
 
-import operator
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -100,16 +98,17 @@ from typing import Iterable, Optional, Union
 
 from repro.errors import ExecutionError, RecoveryError, StorageError
 from repro.xml import model
-from repro.xml.parser import filter_events, iterparse, parse
+from repro.xml.events import events_from_tree
+from repro.xml.parser import filter_events, iterparse
 from repro.xml.serializer import serialize
 from repro.xpath.semantics import Context, sequence_boolean
 from repro.storage.content import ContentStore
-from repro.storage.interval import IntervalDocument, materialise
+from repro.storage.handles import ColumnNode, node_handle, node_handles
+from repro.storage.interval import IntervalDocument, verify_tree
 from repro.storage.pages import PageManager, miss_rate
 from repro.storage.stats import DocumentStatistics
 from repro.storage.succinct import (
     KIND_ATTRIBUTE,
-    KIND_DOCUMENT,
     KIND_ELEMENT,
     SuccinctDocument,
 )
@@ -117,7 +116,6 @@ from repro.storage.tagindex import TagIndex
 from repro.storage.valueindex import ContentIndex
 from repro.algebra.backward import backward_translate
 from repro.algebra.cost import CostModel
-from repro.algebra.operators import storage_tag
 from repro.algebra.plan import explain_plan
 from repro.algebra.rewrite import rewrite_plan
 from repro.engine.cache import (
@@ -153,7 +151,6 @@ class DocumentVersion:
     """
 
     uri: str
-    tree: model.Document
     interval: IntervalDocument
     content: ContentStore      # leaf values the value indexes key on
     tag_index: TagIndex
@@ -161,7 +158,6 @@ class DocumentVersion:
     value_index: ContentIndex
     numeric_index: ContentIndex
     runtime: MatchRuntime
-    node_list: list            # storage pre-order id -> model node
     # Monotonically increasing update stamp; any structural change bumps
     # it in the successor version.  Kept distinct from ``version_id``
     # because the WAL records it (replay verification) and it restarts
@@ -181,10 +177,30 @@ class DocumentVersion:
     # version; set once, on the first Database.planner_for, so every
     # memoized choice was priced at the same buffer-pool miss rate.
     charged_pages: Optional[int] = None
+    debug_checks: bool = False  # check a built tree against the columns
+    _tree: Optional[model.Document] = field(default=None, repr=False,
+                                            compare=False)
+    _tree_lock: threading.Lock = field(default_factory=threading.Lock,
+                                       repr=False, compare=False)
 
-    def node_for(self, preorder: int) -> model.Node:
-        """The model node behind a storage pre-order id."""
-        return self.node_list[preorder]
+    def node_for(self, preorder: int) -> ColumnNode:
+        """The handle of a storage pre-order id."""
+        return node_handle(self, preorder)
+
+    @property
+    def tree(self) -> model.Document:
+        """This version's document as a model tree, built from the
+        columns on first access and kept — for API callers; no engine
+        path reads it."""
+        # Read per call, so the test suites' tripwire can patch it.
+        from repro.storage.interval import materialise
+
+        with self._tree_lock:
+            if self._tree is None:
+                self._tree = materialise(self.interval)
+                if self.debug_checks:
+                    verify_tree(self.interval, self._tree)
+            return self._tree
 
 
 class DatabaseSnapshot:
@@ -208,14 +224,6 @@ class DatabaseSnapshot:
         self.stamp = (load_epoch,) + tuple(
             sorted((uri, version.version_id)
                    for uri, version in documents.items()))
-
-    def version_for_tree(self, tree: model.Document
-                         ) -> Optional[DocumentVersion]:
-        """The version whose model tree is ``tree`` (identity match)."""
-        for version in self.documents.values():
-            if version.tree is tree:
-                return version
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<DatabaseSnapshot docs={len(self.documents)} "
@@ -390,6 +398,9 @@ class Database:
         self._snapshot = DatabaseSnapshot(documents, default_uri,
                                           load_epoch)
         self._publishes += 1
+        # Every entry's stamp is stale now; dropping them unpins the
+        # versions their handles read.
+        self.result_cache.drop_stale(self._snapshot.stamp)
 
     def _with_versions(self, versions: Iterable[DocumentVersion]
                        ) -> DatabaseSnapshot:
@@ -496,8 +507,8 @@ class Database:
 
         Every derived structure — tag index, statistics, value indexes —
         is restored through its ``from_snapshot``/``restore``
-        constructor; only the model tree is rebuilt, from the label
-        columns (no XML tokenizer).  Called by recovery
+        constructor; nothing is built per node (no XML tokenizer, no
+        model tree).  Called by recovery
         under the write lock; the restored state is published as one
         fresh snapshot (queries racing recovery see either nothing or
         everything).
@@ -646,20 +657,22 @@ class Database:
     def load_tree(self, tree: model.Document,
                   uri: str = "doc.xml") -> DocumentVersion:
         """Load the document ``tree`` holds.  ``tree`` is shredded into
-        the label columns and not kept: the version's own tree is built
-        from the columns (adjacent text siblings of ``tree`` are one
-        text node there, as they are in storage)."""
-        return self._load(IntervalDocument.from_document(tree), uri)
+        the label columns and not kept (adjacent text siblings of
+        ``tree`` are one text node there, and empty ones none, as for
+        :meth:`load` with ``keep_whitespace=True``)."""
+        events = filter_events(events_from_tree(tree), keep_whitespace=True)
+        return self._load(IntervalDocument.from_events(events), uri)
 
     def _load(self, interval: IntervalDocument,
               uri: str) -> DocumentVersion:
         """Load freshly shredded columns under ``uri`` (takes the write
         lock).
 
-        On a durable database the load is logged (the serialized tree
-        replays with whitespace preserved) and immediately followed by
-        a checkpoint, so the bulk XML text never has to be replayed on
-        the common recovery path — reopening restores the snapshot.
+        On a durable database the load is logged (serialized from the
+        root handle; it replays to the same columns) and immediately
+        followed by a checkpoint, so the bulk XML text never has to be
+        replayed on the common recovery path — reopening restores the
+        snapshot.
         """
         self._check_writable("load")
         with self.write_locked():
@@ -681,7 +694,7 @@ class Database:
             # Fsynced before the publish: the WAL explains every
             # version readers can see.
             self._log_update({"op": "load", "uri": uri,
-                              "xml": serialize(document.tree)})
+                              "xml": serialize(document.node_for(0))})
         snapshot = self._snapshot
         documents = dict(snapshot.documents)
         documents[uri] = document
@@ -698,17 +711,15 @@ class Database:
                      value_index: ContentIndex,
                      numeric_index: ContentIndex,
                      generation: int) -> DocumentVersion:
-        """The one constructor of a :class:`DocumentVersion`: its model
-        tree and node list are materialised from ``interval`` and its
-        match runtime is wired to its stores (not published)."""
-        nodes = materialise(interval)
+        """The one constructor of a :class:`DocumentVersion`: its match
+        runtime is wired to its stores (not published)."""
         version = DocumentVersion(
-            uri=interval.uri, tree=nodes[0], interval=interval,
+            uri=interval.uri, interval=interval,
             content=content, tag_index=tag_index, statistics=statistics,
             value_index=value_index, numeric_index=numeric_index,
             runtime=None,  # type: ignore[arg-type]
-            node_list=nodes, generation=generation,
-            version_id=self._next_version_id())
+            generation=generation, version_id=self._next_version_id(),
+            debug_checks=self.debug_checks)
         version.runtime = MatchRuntime(
             interval, tag_index, pages=self.pages,
             residual_check=self._residual_checker(version),
@@ -737,9 +748,12 @@ class Database:
         from repro.xpath.semantics import XPathEvaluator
 
         evaluator = XPathEvaluator()
+        # Weak: the version owns the runtime that owns this check, and a
+        # cycle would leave every retired version to the collector.
+        version_ref = weakref.ref(document)
 
         def check(vertex, preorder: int) -> bool:
-            node = document.node_for(preorder)
+            node = node_handle(version_ref(), preorder)
             for expr in vertex.residual:
                 value = evaluator.evaluate(expr, Context(node))
                 if not sequence_boolean(value):
@@ -953,10 +967,10 @@ class Database:
                         error, text=text, elapsed_seconds=elapsed,
                         io=io_delta, span=query_span)
                     raise error
-                if cacheable:
-                    # Stamped with the *pinned* snapshot's stamp: if a
-                    # writer published meanwhile, the very next lookup
-                    # sees a different stamp and discards this entry.
+                if cacheable and snapshot is self._snapshot:
+                    # Stamped with the *pinned* snapshot's stamp, and
+                    # skipped once a writer has published a successor
+                    # (whose publish already dropped the stale entries).
                     self.result_cache.store(key, stamp, items,
                                             context.last_strategy)
             finally:
@@ -1334,13 +1348,14 @@ class Database:
                            deadline: Optional[float] = None
                            ) -> PhysicalExecutionContext:
         """An execution context over one pinned snapshot — every
-        document the plan touches resolves inside that snapshot."""
+        document the plan touches resolves inside that snapshot, to the
+        root handle of its version."""
         document = self._document_in(snapshot, uri)
-        trees = {loaded_uri: doc.tree
+        roots = {loaded_uri: doc.node_for(0)
                  for loaded_uri, doc in snapshot.documents.items()}
         return PhysicalExecutionContext(
-            database=self, documents=trees,
-            context_node=document.tree, strategy=strategy,
+            database=self, documents=roots,
+            context_node=roots[document.uri], strategy=strategy,
             variables=variables, snapshot=snapshot, deadline=deadline)
 
     def planner_for(self, document: DocumentVersion) -> PhysicalPlanner:
@@ -1381,10 +1396,9 @@ class Database:
         Copy-on-write: the current :class:`DocumentVersion` is cloned,
         the clone's label columns are spliced (their update metrics are
         returned), its content heap renumbers and appends the new
-        leaves, every derived structure — tag index, statistics, value
-        indexes — absorbs a *local delta* for the inserted subtree, and
-        the clone's model tree gains the nodes built from the spliced
-        pre range; the finished clone is then published as a new
+        leaves, and every derived structure — tag index, statistics,
+        value indexes — absorbs a *local delta* for the inserted
+        subtree; the finished clone is then published as a new
         snapshot.  Queries pinned on the old version never observe a
         mid-splice store — or this change at all.
 
@@ -1398,23 +1412,22 @@ class Database:
     def _insert_locked(self, parent_path: str, fragment: str,
                        position: Optional[int],
                        uri: Optional[str]) -> dict:
-        document, targets = self._update_targets(parent_path, uri)
-        if len(targets) != 1 or not isinstance(targets[0], model.Element):
-            raise ExecutionError(
-                f"insert target {parent_path!r} must select exactly one "
-                f"element (got {len(targets)} items)")
-        parent = targets[0]
-        fragment_tree = parse(f"<wrap>{fragment}</wrap>")
-        children = list(fragment_tree.root.children())
-        if len(children) != 1 or not isinstance(children[0], model.Element):
+        document, parent_pre = self._update_target(
+            "insert", parent_path, uri)
+        # Shredded from its parse events under a wrapper at pre 1.
+        shredded = IntervalDocument.from_events(
+            filter_events(iterparse(f"<wrap>{fragment}</wrap>")))
+        children = list(shredded.child_pres(1))
+        if len(children) != 1 or shredded.kinds[children[0]] != KIND_ELEMENT:
             raise ExecutionError(
                 "fragment must contain exactly one element")
-        subtree = fragment_tree.root.remove(children[0])
 
-        element_children = [c for c in parent.children()]
+        kinds = document.interval.kinds
+        child_count = sum(kinds[child] != KIND_ATTRIBUTE for child
+                          in document.interval.child_pres(parent_pre))
         if position is None:
-            position = len(element_children)
-        if position < 0 or position > len(element_children):
+            position = child_count
+        if position < 0 or position > child_count:
             raise ExecutionError(f"child position {position} out of range")
 
         # Every validation passed: make the operation durable *before*
@@ -1432,26 +1445,18 @@ class Database:
 
         # Copy-on-write: all splicing happens on a private successor;
         # the published version (and everything readers may have
-        # pinned) stays untouched.  The target maps to the successor
-        # through its storage pre-order id (one scan of the node list,
-        # which tracks every splice of a replay batch's successor).
-        parent_pre = document.node_list.index(parent)
+        # pinned) stays untouched.
         version = self._successor(document)
 
         # Primary stores: the column splice (with the paper's cost
         # metrics), then one pass of the content heap's owner column.
-        metrics = version.interval.insert_subtree(parent_pre, position,
-                                                  subtree)
+        metrics = version.interval.insert_fragment(
+            parent_pre, position, shredded, children[0])
         insert_pre, count = metrics["inserted_at"], metrics["inserted_nodes"]
         appended = len(version.content)
         version.content.splice(
             insert_pre, insert_pre,
             version.interval.values[insert_pre:insert_pre + count])
-        # The clone's model tree gains the spliced range's nodes.
-        nodes = materialise(version.interval, insert_pre)
-        version.node_list[parent_pre].insert(position, nodes[0])
-        version.node_list[insert_pre:insert_pre] = nodes
-
         self._apply_insert_deltas(version, insert_pre, count,
                                   range(appended, len(version.content)))
         return metrics
@@ -1471,23 +1476,13 @@ class Database:
             return self._delete_locked(path, uri)
 
     def _delete_locked(self, path: str, uri: Optional[str]) -> dict:
-        document, targets = self._update_targets(path, uri)
-        if len(targets) != 1 or not isinstance(targets[0], model.Element):
-            raise ExecutionError(
-                f"delete target {path!r} must select exactly one element "
-                f"(got {len(targets)} items)")
-        victim = targets[0]
-        if victim.parent is None:
-            raise ExecutionError("cannot delete the document element's "
-                                 "parent")
+        document, preorder = self._update_target("delete", path, uri)
         # Validated: log + fsync before building the successor version.
         self._log_update({
             "op": "delete", "uri": document.uri, "path": path,
             "generation": document.generation + 1,
         })
-        preorder = document.node_list.index(victim)
         version = self._successor(document)
-        clone_victim = version.node_list[preorder]
 
         # Derived deltas that need pre-splice labels run first: the tag
         # index drops the doomed postings and the statistics retract the
@@ -1498,18 +1493,16 @@ class Database:
 
         metrics = version.interval.delete_subtree(preorder)
         doomed_content = version.content.splice(preorder, preorder + count)
-        clone_victim.parent.remove(clone_victim)
-        del version.node_list[preorder:preorder + count]
 
         self._apply_delete_deltas(version, doomed_content)
         return metrics
 
     # -- copy-on-write version construction ---------------------------------------
 
-    def _update_targets(self, path: str, uri: Optional[str]
-                        ) -> tuple[DocumentVersion, list]:
-        """The version an update starts from and the items ``path``
-        selects in it.
+    def _update_target(self, operation: str, path: str,
+                       uri: Optional[str]) -> tuple[DocumentVersion, int]:
+        """The version an update starts from and the pre id of the one
+        element ``path`` selects in it.
 
         Normally the published version, resolved through
         :meth:`query`.  Inside a replay batch that already spliced some
@@ -1519,13 +1512,23 @@ class Database:
         """
         pending = self._replay_pending
         if not pending:
-            return self.document(uri), self.query(path, uri=uri).items
-        view = self._with_versions(pending.values())
-        plan, plan_hit = self._compiled_plan(path)
-        result = self._run_compiled(path, plan, plan_hit=plan_hit,
-                                    strategy="auto", uri=uri,
-                                    variables=None, snapshot=view)
-        return self._document_in(view, uri), result.items
+            document = self.document(uri)
+            targets = self.query(path, uri=uri).items
+        else:
+            view = self._with_versions(pending.values())
+            plan, plan_hit = self._compiled_plan(path)
+            targets = self._run_compiled(path, plan, plan_hit=plan_hit,
+                                         strategy="auto", uri=uri,
+                                         variables=None,
+                                         snapshot=view).items
+            document = self._document_in(view, uri)
+        if (len(targets) != 1 or not isinstance(targets[0], model.Element)
+                or not isinstance(targets[0], ColumnNode)
+                or targets[0].version is not document):
+            raise ExecutionError(
+                f"{operation} target {path!r} must select exactly one "
+                f"element of the document (got {len(targets)} items)")
+        return document, targets[0].pre
 
     def _successor(self, document: DocumentVersion) -> DocumentVersion:
         """The private version an update splices: a fresh clone, or —
@@ -1545,8 +1548,7 @@ class Database:
         Primary stores are cloned (label column and content heap copies
         — updates splice them in place); derived structures are rebuilt
         from their snapshot forms (the same restore constructors
-        recovery uses, so no index is recomputed from scratch); the
-        model tree is materialised from the cloned interval columns.
+        recovery uses, so no index is recomputed from scratch).
         Immutable leaves (strings) stay shared.  The clone starts with
         a fresh strategy memo — its statistics generation carries over,
         so hot patterns re-memoize after one cost-model pass.
@@ -1649,7 +1651,8 @@ class Database:
 
     def verify_derived(self, document: DocumentVersion) -> None:
         """Debug cross-check: every incrementally maintained structure
-        must equal a fresh rebuild from the primary stores.  Raises
+        must equal a fresh rebuild from the primary stores, and the
+        version's model tree, if one was built, its columns.  Raises
         :class:`~repro.errors.StorageError` on divergence."""
         fresh_stats = DocumentStatistics(document.interval)
         mine, fresh = (document.statistics.comparable_state(),
@@ -1668,27 +1671,9 @@ class Database:
                 flavour = "numeric" if index.numeric else "string"
                 raise StorageError(
                     f"incremental {flavour} value index diverged")
-        # The model nodes are a view of the columns: each carries the
-        # storage tag (which names its kind) of ``tags[pre]``, a leaf's
-        # value is ``values[pre]``, it hangs under
-        # ``node_list[parent[pre]]``, and the tree's document order is
-        # pre order with the attributes left out.
-        interval, nodes = document.interval, document.node_list
-        in_order = [node for node, kind in zip(nodes, interval.kinds)
-                    if kind != KIND_ATTRIBUTE]
-        walk = list(document.tree.descendant_or_self())
-        if (len(nodes) != len(interval) or len(walk) != len(in_order)
-                or any(map(operator.is_not, walk, in_order))):
-            raise StorageError("incremental node list diverged")
-        for pre, (node, kind, tag, value, parent_pre) in enumerate(zip(
-                nodes, interval.kinds, interval.tags, interval.values,
-                interval.parent)):
-            parent = nodes[parent_pre] if parent_pre >= 0 else None
-            if (storage_tag(node) != tag or node.parent is not parent
-                    or (kind not in (KIND_ELEMENT, KIND_DOCUMENT)
-                        and node.string_value() != (value or ""))):
-                raise StorageError(
-                    f"incremental node list diverged at pre {pre}")
+        # A model tree built for an API caller is a view of the columns.
+        if document._tree is not None:
+            verify_tree(document.interval, document._tree)
 
     def storage_report(self, uri: Optional[str] = None) -> dict:
         """Byte accounting of every storage structure (experiment E1);

@@ -4,9 +4,9 @@
 :func:`repro.algebra.plan.execute_plan`, except that every **τ** node is
 dispatched to the physical planner — NoK scan, partitioned NoK + joins,
 columnar semi-joins or index-scan (or a baseline forced by name) —
-against the loaded document's storage, and the resulting pre-order ids are
-materialised back to model nodes so the rest of the plan (list operators,
-FLWOR machinery, γ) is storage-agnostic.
+against the loaded document's storage, and the resulting pre-order ids
+become node handles (:mod:`repro.storage.handles`) so the rest of the
+plan (list operators, FLWOR machinery, γ) is storage-agnostic.
 
 Patterns whose output set the join strategies cannot produce (multiple
 output vertices) run through the NoK binding machinery.
@@ -29,6 +29,7 @@ from typing import Optional
 
 from repro.errors import ExecutionError, QueryTimeoutError
 from repro.xml import model
+from repro.storage.handles import ColumnNode, node_handles
 from repro.algebra.plan import (
     ExecutionContext,
     PlanNode,
@@ -110,17 +111,17 @@ class PhysicalExecutionContext(ExecutionContext):
     # -- physical tau ------------------------------------------------------------
 
     def run_tau(self, plan: Tau) -> list:
-        """Execute a τ over the loaded storage; returns model nodes."""
+        """Execute a τ over the loaded storage; returns node handles."""
         self.check_deadline()
         scan = plan.inputs[0]
         if not isinstance(scan, Scan):
             raise ExecutionError("tau input must be a document scan")
-        tree = execute_plan(scan, self)
-        loaded = self.snapshot.version_for_tree(tree)
-        if loaded is None:
+        root = execute_plan(scan, self)
+        if not isinstance(root, ColumnNode):
             raise ExecutionError(
-                f"document {getattr(tree, 'uri', '?')!r} has no storage "
+                f"document {getattr(root, 'uri', '?')!r} has no storage "
                 "(loaded outside the database?)")
+        loaded = root.version
         analyzing = self.analyze_records is not None
         observability = getattr(self.database, "observability", None)
         tracer = observability.tracer if observability is not None \
@@ -155,17 +156,17 @@ class PhysicalExecutionContext(ExecutionContext):
         if analyzing:
             self._record_analysis(plan, planner, loaded, stats, used,
                                   len(matches), io_before, tau_started)
-        # "construct": pre-order ids become model nodes for the rest of
+        # "construct": pre-order ids become node handles for the rest of
         # the (storage-agnostic) plan.
         with (tracer.span("construct") if tracer is not None
               else NULL_SPAN):
             if self.deadline is None or len(matches) <= 4096:
-                return [loaded.node_for(preorder) for preorder in matches]
+                return node_handles(loaded, matches)
             nodes = []
             for start in range(0, len(matches), 4096):
                 self.check_deadline()
-                nodes.extend(loaded.node_for(preorder)
-                             for preorder in matches[start:start + 4096])
+                nodes.extend(node_handles(loaded,
+                                          matches[start:start + 4096]))
             return nodes
 
     def _record_analysis(self, plan: Tau, planner, loaded, stats,

@@ -4,8 +4,8 @@
 document: the label columns (the interval store — the version's one copy
 of the pre-order structure, with each node's tag, kind and leaf value),
 the tag index, the page manager it charges I/O to, and the
-residual-predicate checker (a callback into the reference evaluator, set
-up by the engine which owns the model tree).
+residual-predicate checker (a callback into the reference evaluator over
+the version's node handles, set up by the engine).
 
 I/O is charged as if the structure were stored in the paper's succinct
 format: the ``succinct:structure`` segment is sized by

@@ -86,8 +86,9 @@ class NoKMatcher:
         """Match over a raw parse-event stream without building any
         storage.  Node handles in the output are stream pre-order ids,
         assigned exactly as the storage builder assigns them (adjacent
-        text runs merge; whitespace-only runs are skipped unless
-        ``keep_whitespace``) so streaming and storage results align.
+        text runs merge; empty runs are skipped, and so are
+        whitespace-only runs unless ``keep_whitespace``) so streaming
+        and storage results align.
 
         Residual predicates are unsupported here (they need the engine's
         document); value constraints are checked against buffered text.
@@ -137,7 +138,7 @@ class NoKMatcher:
                 return
             value = "".join(pending_text)
             pending_text.clear()
-            if not keep_whitespace and not value.strip():
+            if not value or (not keep_whitespace and not value.strip()):
                 return
             end_node(start_node("#text", False, value))
             if buffering:

@@ -23,10 +23,13 @@ identically by both (document node 0, attribute children before element
 content).
 
 :class:`IntervalNode` records are read-only tuples built on demand for
-the join baselines and tests.  :func:`materialise` is the one builder of
-a version's :mod:`repro.xml.model` tree: the tree is a view of the
-columns, node ``pre`` built from ``kinds``/``tags``/``values[pre]`` and
-attached under node ``parent[pre]``.
+the join baselines and tests; query results are the node handles of
+:mod:`repro.storage.handles`.  :func:`materialise` is the one builder of
+a :mod:`repro.xml.model` tree from the columns, for API callers that
+ask a version for its ``tree``: node ``pre`` is built from
+``kinds``/``tags``/``values[pre]`` and attached under node
+``parent[pre]``, and :func:`verify_tree` checks a tree against the
+columns it came from.
 
 The relabelling cost the paper holds against interval encoding is
 reproduced for experiment E7: inserting a subtree relabels every node
@@ -68,7 +71,8 @@ from repro.storage.succinct import (
     decode_snapshot,
 )
 
-__all__ = ["IntervalNode", "IntervalDocument", "materialise", "shifted"]
+__all__ = ["IntervalNode", "IntervalDocument", "materialise", "shifted",
+           "verify_tree"]
 
 
 class IntervalNode(NamedTuple):
@@ -266,6 +270,16 @@ class IntervalDocument:
         ``parent`` and relabel.  Returns ``{"relabelled": n, ...}`` — the
         cost interval encoding pays that the succinct splice avoids:
         every node at or after the splice point plus every ancestor."""
+        fragment = IntervalDocument.from_events(
+            events_from_tree(_wrap(subtree)))
+        return self.insert_fragment(parent, position, fragment, 1)
+
+    def insert_fragment(self, parent: int, position: int,
+                        fragment: "IntervalDocument",
+                        root: int) -> dict[str, int]:
+        """:meth:`insert_subtree` for a subtree already shredded: the
+        one at pre id ``root`` of ``fragment``, which must run to the
+        end of ``fragment``'s columns."""
         self._check(parent)
         if self.kinds[parent] not in (KIND_ELEMENT, KIND_DOCUMENT):
             raise StorageError("can only insert under an element")
@@ -276,18 +290,18 @@ class IntervalDocument:
         at = (children[position] if position < len(children)
               else self.end[parent] + 1)
 
-        # Shred the new subtree standalone, then rebase its labels: the
-        # fragment's document node (pre 0, level 0) becomes ``parent``.
-        fragment = IntervalDocument.from_events(
-            events_from_tree(_wrap(subtree)))
+        # Rebase the fragment's labels: its ``root`` lands at ``at``,
+        # one level below ``parent``, and hangs under ``parent``.
+        offset = at - root
         block = IntervalDocument()
-        block.end = shifted(fragment.end[1:], at - 1)
-        block.level = shifted(fragment.level[1:], self.level[parent])
-        block.parent = array("q", [pre + at - 1 if pre else parent
-                                   for pre in fragment.parent[1:]])
-        block.tags = fragment.tags[1:]
-        block.kinds = fragment.kinds[1:]
-        block.values = fragment.values[1:]
+        block.end = shifted(fragment.end[root:], offset)
+        block.level = shifted(fragment.level[root:], self.level[parent]
+                              + 1 - fragment.level[root])
+        block.parent = array("q", [pre + offset if pre >= root else parent
+                                   for pre in fragment.parent[root:]])
+        block.tags = fragment.tags[root:]
+        block.kinds = fragment.kinds[root:]
+        block.values = fragment.values[root:]
         relabelled = self._splice(parent, at, at, block)
         return {"relabelled": relabelled, "inserted_nodes": len(block),
                 "inserted_at": at}
@@ -425,37 +439,22 @@ def _wrap(element: model.Element) -> model.Document:
     return document
 
 
-def materialise(interval: IntervalDocument,
-                root: int = 0) -> list[model.Node]:
-    """The model nodes of the subtree at pre id ``root``, built from the
-    label columns, in pre order (``nodes[pre - root]``).
-
-    ``materialise(interval)`` is a version's whole tree (its document
-    node first) and its ``pre -> node`` list in one; an insert
-    materialises just the spliced subtree, whose root element comes
-    back detached for the caller to place.  One flat loop over the
-    zipped columns, no tree walk: pre order builds every parent before
-    its children.
-    """
+def materialise(interval: IntervalDocument) -> model.Document:
+    """The model tree of the columns: one flat loop over the zipped
+    columns, no tree walk (pre order builds every parent before its
+    children; ``nodes[pre]`` is node ``pre``)."""
     kinds = interval.kinds
-    if root == 0:
-        if not kinds or kinds[0] != KIND_DOCUMENT:
-            raise SnapshotCorruptError(
-                "interval columns do not start with a document node")
-        nodes: list[model.Node] = [model.Document(uri=interval.uri)]
-        stop = len(kinds)
-    else:
-        nodes = [model.Element(interval.tags[root])]
-        stop = interval.end[root] + 1
+    if not kinds or kinds[0] != KIND_DOCUMENT:
+        raise SnapshotCorruptError(
+            "interval columns do not start with a document node")
+    nodes: list[model.Node] = [model.Document(uri=interval.uri)]
     append = nodes.append
-    start = root + 1
     for parent_pre, kind, tag, value in zip(
-            interval.parent[start:stop], kinds[start:stop],
-            interval.tags[start:stop], interval.values[start:stop]):
-        parent = nodes[parent_pre - root]
+            interval.parent[1:], kinds[1:], interval.tags[1:],
+            interval.values[1:]):
+        parent = nodes[parent_pre]
         if kind == KIND_ELEMENT:
-            node = model.Element(tag)
-            parent.adopt(node)
+            node = parent.adopt(model.Element(tag))
         elif kind == KIND_TEXT:
             node = parent.adopt(model.Text(value or ""))
         elif kind == KIND_ATTRIBUTE:
@@ -468,4 +467,50 @@ def materialise(interval: IntervalDocument,
         else:
             raise SnapshotCorruptError(f"unknown node kind {kind}")
         append(node)
-    return nodes
+    return nodes[0]
+
+
+_MODEL_KINDS = {
+    model.Document: KIND_DOCUMENT,
+    model.Element: KIND_ELEMENT,
+    model.Attribute: KIND_ATTRIBUTE,
+    model.Text: KIND_TEXT,
+    model.Comment: KIND_COMMENT,
+    model.ProcessingInstruction: KIND_PI,
+}
+
+
+def _storage_order(tree: model.Document) -> Iterator[model.Node]:
+    """The nodes of ``tree`` in storage pre order: each element, then
+    its attributes, then its content."""
+    for node in tree.descendant_or_self():
+        yield node
+        if isinstance(node, model.Element):
+            yield from node.attributes()
+
+
+def verify_tree(interval: IntervalDocument, tree: model.Document) -> None:
+    """Raise :class:`StorageError` unless ``tree`` is a view of the
+    columns: walked in storage pre order, node ``pre`` has the kind,
+    tag and (for leaves) value of ``pre`` and hangs under node
+    ``parent[pre]``."""
+    nodes = list(_storage_order(tree))
+    if len(nodes) != len(interval):
+        raise StorageError(f"model tree has {len(nodes)} nodes, the "
+                           f"columns {len(interval)}")
+    for pre, (node, kind, tag, value, parent_pre) in enumerate(zip(
+            nodes, interval.kinds, interval.tags, interval.values,
+            interval.parent)):
+        parent = nodes[parent_pre] if parent_pre >= 0 else None
+        if kind == KIND_ELEMENT:
+            name = node.name
+        elif kind in (KIND_ATTRIBUTE, KIND_PI):
+            name = tag[0] + (node.name or "")
+        else:
+            name = tag
+        if (_MODEL_KINDS.get(type(node)) != kind or name != tag
+                or node.parent is not parent
+                or (kind not in (KIND_ELEMENT, KIND_DOCUMENT)
+                    and node.string_value() != (value or ""))):
+            raise StorageError(
+                f"model tree diverges from the columns at pre {pre}")

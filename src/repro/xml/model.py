@@ -187,7 +187,7 @@ class Node:
         for sibling in self.parent.children():
             if seen_self:
                 yield sibling
-            elif sibling is self:
+            elif sibling == self:
                 seen_self = True
 
     def preceding_siblings(self) -> Iterator["Node"]:
@@ -196,7 +196,7 @@ class Node:
             return
         before: list[Node] = []
         for sibling in self.parent.children():
-            if sibling is self:
+            if sibling == self:
                 break
             before.append(sibling)
         yield from reversed(before)

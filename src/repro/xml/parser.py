@@ -295,14 +295,17 @@ def iterparse(text: str, uri: str = "") -> Iterator[Event]:
 
 def filter_events(events: Iterator[Event],
                   keep_whitespace: bool = False) -> Iterator[Event]:
-    """``events`` as a document is built from them: with
-    ``keep_whitespace=False`` (the default) whitespace-only character
-    data — the usual "ignorable whitespace" of pretty-printed documents
-    — is dropped.  The one filter both :func:`build_tree` and the
+    """``events`` as a document is built from them: empty character
+    data (an empty CDATA section) is dropped — the data model has no
+    empty text nodes, and serialization could not write one back — and
+    with ``keep_whitespace=False`` (the default) so is whitespace-only
+    character data, the usual "ignorable whitespace" of pretty-printed
+    documents.  The one filter both :func:`build_tree` and the
     database's shredder apply, so a parsed tree and a loaded version
     hold the same nodes."""
     if keep_whitespace:
-        return iter(events)
+        return (event for event in events
+                if not isinstance(event, Characters) or event.value)
     return (event for event in events
             if not isinstance(event, Characters) or event.value.strip())
 

@@ -53,7 +53,7 @@ def document_order_key(node: model.Node) -> tuple:
         index = 0
         if owner is not None:
             for index, attribute in enumerate(owner.attributes()):
-                if attribute is node:
+                if attribute == node:
                     break
             return (owner.pre, 1, index)
         return (-1, 1, 0)

@@ -47,7 +47,7 @@ def apply(database: Database, op, uri: str = URI) -> None:
 
 
 def observe(database: Database, uri: str = URI) -> dict:
-    state = {"xml": serialize(database.document(uri).tree),
+    state = {"xml": serialize(database.document(uri).node_for(0)),
              "versions": database.version_vector()}
     for probe in PROBES:
         state[probe] = database.query(probe, uri=uri).values()
@@ -103,7 +103,7 @@ def test_batch_clones_each_document_once(tmp_path, monkeypatch):
     for index, op in enumerate(TAIL):
         apply(database, op)
         database.insert("/s", f"<t{index}/>", uri=OTHER)
-    expected = {uri: serialize(database.document(uri).tree)
+    expected = {uri: serialize(database.document(uri).node_for(0))
                 for uri in (URI, OTHER)}
     vector = database.version_vector()
     database.close()
@@ -121,7 +121,7 @@ def test_batch_clones_each_document_once(tmp_path, monkeypatch):
         assert sorted(clones) == [URI, OTHER]
         assert recovered.version_publishes == 2
         assert recovered.version_vector() == vector
-        assert {uri: serialize(recovered.document(uri).tree)
+        assert {uri: serialize(recovered.document(uri).node_for(0))
                 for uri in (URI, OTHER)} == expected
     finally:
         recovered.close()
@@ -148,9 +148,9 @@ def test_load_record_publishes_pending_batch_first():
         assert database._replay_records(records) == len(records)
     # Pending successor before the load, the load, the closing batch.
     assert database.version_publishes == publishes + 3
-    assert serialize(database.document(URI).tree) \
+    assert serialize(database.document(URI).node_for(0)) \
         == "<r><a>1</a><b>2</b><x/><y/></r>"
-    assert serialize(database.document(OTHER).tree) \
+    assert serialize(database.document(OTHER).node_for(0)) \
         == "<s><c>3</c><z/></s>"
     assert database.version_vector()["generations"] == {URI: 2, OTHER: 1}
 
@@ -189,5 +189,5 @@ def test_failed_batch_publishes_nothing():
     records[1]["generation"] = 2
     with database.write_locked():
         database._replay_records(records)
-    assert serialize(database.document().tree) \
+    assert serialize(database.document().node_for(0)) \
         == "<r><a>1</a><b>2</b><x><w/></x></r>"

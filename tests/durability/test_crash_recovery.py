@@ -87,8 +87,7 @@ def _generate_schedule(seed: int):
     ops = []
     probe_tags = set()
     while len(ops) < OPS_PER_SCHEDULE:
-        tree = twin.document(URI).tree
-        root = next(iter(tree.children()))
+        root = twin.document(URI).node_for(0).root
         elements = _elements(root, [root])
         deletable = [e for e in elements
                      if isinstance(e.parent, model.Element)]
@@ -99,7 +98,7 @@ def _generate_schedule(seed: int):
         else:
             parent = rng.choice(elements)
             fragment = _make_fragment(rng, counter)
-            path = "/r" if parent is root else f"//{parent.tag}"
+            path = "/r" if parent == root else f"//{parent.tag}"
             op = ("insert", path, fragment)
             twin.insert(path, fragment)
         ops.append(op)
@@ -128,7 +127,7 @@ def _apply(db: Database, op) -> None:
 
 
 def _observe(db: Database, probe_tags) -> dict:
-    state = {"xml": serialize(db.document(URI).tree)}
+    state = {"xml": serialize(db.document(URI).node_for(0))}
     for tag in sorted(probe_tags):
         result = db.query(f"//{tag}")
         state[tag] = (len(result), result.values())

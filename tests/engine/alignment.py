@@ -1,6 +1,6 @@
 """Independent oracles for differential tests.
 
-A database version's model tree is built from the label columns it is
+A database's query results are handles on the label columns they are
 checked against, so a differential test must evaluate the reference
 semantics over its *own* parse of the source text and compare pre-order
 ids or values.  :func:`storage_preorder_map` numbers an independently
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.storage.handles import ColumnNode
 from repro.xml import model
 from repro.xml.parser import parse
 from repro.xml.serializer import serialize
@@ -68,31 +69,36 @@ def oracle_preorders(text: str, evaluate) -> list[int]:
     return sorted({mapping[node.node_id] for node in evaluate(tree)})
 
 
-def engine_preorder_map(version) -> dict[int, int]:
-    """``id(model node) -> storage pre id`` for a database version's
-    own nodes (the positions of its ``node_list``)."""
-    return {id(node): pre for pre, node in enumerate(version.node_list)}
+def engine_preorder(version, node) -> Optional[int]:
+    """The storage pre id of a result node of ``version`` (a handle on
+    it), or ``None`` for any other node."""
+    if isinstance(node, ColumnNode) and node.version is version:
+        return node.pre
+    return None
 
 
 def engine_preorders(database, query: str, strategy: str = "auto") -> list:
     """Storage pre ids of the nodes ``database.query`` returns for the
     default document, in result order."""
-    mapping = engine_preorder_map(database.document())
-    return [mapping[id(node)]
-            for node in database.query(query, strategy=strategy).items]
+    version = database.document()
+    result = database.query(query, strategy=strategy)
+    preorders = [engine_preorder(version, node) for node in result.items]
+    assert None not in preorders, "a result node is not a handle"
+    return preorders
 
 
-def item_keys(items, document: model.Document,
-              preorder_of: Callable[[model.Node], int]) -> list:
+def item_keys(items,
+              preorder_of: Callable[[model.Node], Optional[int]]) -> list:
     """Comparable keys of a result sequence, in sequence order: a node
-    of ``document`` by its storage pre id and string value, a
-    constructed node by its serialization, an atomic value as itself."""
+    of the document (``preorder_of`` gives its storage pre id) by that
+    id and its string value, any other (constructed) node by its
+    serialization, an atomic value as itself."""
     keys = []
     for item in items:
         if isinstance(item, model.Node):
-            if item.document is document:
-                keys.append(("node", preorder_of(item),
-                             item.string_value()))
+            preorder = preorder_of(item)
+            if preorder is not None:
+                keys.append(("node", preorder, item.string_value()))
             else:
                 keys.append(("constructed", serialize(item)))
         else:
@@ -103,9 +109,8 @@ def item_keys(items, document: model.Document,
 def engine_keys(database, result) -> list:
     """:func:`item_keys` of a ``QueryResult`` over the default document."""
     version = database.document()
-    mapping = engine_preorder_map(version)
-    return item_keys(result.items, version.tree,
-                     lambda node: mapping[id(node)])
+    return item_keys(result.items,
+                     lambda node: engine_preorder(version, node))
 
 
 def string_values(items) -> list:
@@ -146,8 +151,8 @@ class ShadowDocument:
         """:func:`item_keys` of the query's result, with the same
         validity condition as :meth:`preorders`."""
         mapping = storage_preorder_map(self.tree)
-        return item_keys(self.query(query), self.tree,
-                         lambda node: mapping[node.node_id])
+        return item_keys(self.query(query),
+                         lambda node: mapping.get(node.node_id))
 
     def insert(self, parent_path: str, fragment: str,
                position: Optional[int] = None) -> None:

@@ -10,46 +10,65 @@ from tests.engine.alignment import storage_groups
 
 
 class TestMapping:
-    """A version's model nodes are a view of its label columns."""
+    """A version's result nodes are handles on its label columns."""
 
     def test_alignment_with_succinct_numbering(self):
         text = ('<a x="1" y="2">t1<b z="3">t2</b>t3<!--c--><?p d?></a>')
         tree = parse(text, keep_whitespace=True)
         database = Database()
         document = database.load_tree(tree, uri="m.xml")
-        assert len(document.node_list) == len(document.interval)
-        assert document.node_list[0] is document.tree
-        for preorder, node in enumerate(document.node_list):
+        nodes = [document.node_for(preorder)
+                 for preorder in range(len(document.interval))]
+        assert isinstance(nodes[0], Document) and nodes[0].uri == "m.xml"
+        for preorder, node in enumerate(nodes):
+            assert node.pre == preorder
             assert storage_tag(node) == document.interval.tags[preorder], \
                 preorder
         # The same numbering an independent grouping of the source
         # tree gives.
-        assert [storage_tag(nodes[0]) for nodes in storage_groups(tree)] \
-            == [storage_tag(node) for node in document.node_list]
+        assert [storage_tag(group[0]) for group in storage_groups(tree)] \
+            == [storage_tag(node) for node in nodes]
 
+    @pytest.mark.tree_api
     def test_adjacent_texts_merge_to_one_storage_node(self):
         tree = Document()
         root = tree.append(Element("r"))
         root.append(Text("a"))
         root.append(Text("b"))  # bypasses append_text merging
         document = Database().load_tree(tree, uri="t.xml")
-        # The caller's tree is shredded, not kept: the version's tree
-        # holds one text node, as storage does.
-        assert document.tree is not tree
-        assert len(document.node_list) == 3  # document, r, merged text
-        (text,) = document.tree.root.children()
+        # The caller's tree is shredded, not kept: the version holds one
+        # text node, as storage does, and so does the tree built for
+        # API callers.
+        assert len(document.interval) == 3  # document, r, merged text
+        (text,) = document.node_for(0).root.children()
         assert isinstance(text, Text) and text.value == "ab"
-        assert document.node_for(2) is text
+        assert document.node_for(2) == text
+        assert document.tree is not tree
+        (built,) = document.tree.root.children()
+        assert isinstance(built, Text) and built.value == "ab"
 
     def test_map_round_trips(self):
         database = Database()
         document = database.load("<a><b/><c k='v'><d/>x</c></a>")
-        for preorder, node in enumerate(document.node_list):
-            assert document.node_for(preorder) is node
-            assert document.node_list.index(node) == preorder
+        for preorder in range(len(document.interval)):
+            node = document.node_for(preorder)
+            assert node == document.node_for(preorder)
+            assert hash(node) == hash(document.node_for(preorder))
+            assert node.pre == preorder
             parent = document.interval.parent[preorder]
             if parent >= 0:
-                assert node.parent is document.node_for(parent)
+                assert node.parent == document.node_for(parent)
+            else:
+                assert node.parent is None
+
+    def test_handles_are_read_only(self):
+        document = Database().load("<a><b/>x</a>")
+        root = document.node_for(0).root
+        with pytest.raises(TypeError):
+            root.append(Element("c"))
+        with pytest.raises(AttributeError):
+            document.node_for(3).value = "y"
+        assert document.node_for(3).value == "x"
 
 
 class TestSharedScan:

@@ -51,23 +51,23 @@ class TestVersionPinning:
 
     def test_pinned_version_is_frozen(self):
         """Everything hanging off a pinned version — interval records,
-        content heap, tree, node list — is untouched by later
-        updates."""
+        content heap, the nodes its handles read — is untouched by
+        later updates."""
         db = make_db()
         v0 = db.document()
         nodes_before = len(v0.interval.nodes)
         record = v0.interval.node(1)
         labels_before = (record.pre, record.end, record.post)
         names_before = [n.string_value()
-                        for n in v0.tree.root.children()]
+                        for n in v0.node_for(0).root.children()]
         db.insert("/shop", "<item sku='d'><name>delta</name>"
                            "<price>5</price></item>")
         db.delete("/shop/item[1]")
         assert len(v0.interval.nodes) == nodes_before
         assert (record.pre, record.end, record.post) == labels_before
         assert [n.string_value()
-                for n in v0.tree.root.children()] == names_before
-        assert len(v0.node_list) == nodes_before
+                for n in v0.node_for(0).root.children()] == names_before
+        assert len(v0.interval) == nodes_before
 
     def test_long_running_query_executes_against_its_pin(self):
         """A query that pinned a snapshot before an update keeps
@@ -131,8 +131,12 @@ class TestPublishAtomicity:
                     failures.append((snapshot.stamp, expected))
                 # The version must be internally consistent however
                 # long we hold it.
-                if len(version.node_list) != len(version.interval.nodes):
-                    failures.append("node list / interval mismatch")
+                interval = version.interval
+                if len({len(column) for column in (
+                        interval.tags, interval.kinds, interval.values,
+                        interval.end, interval.parent,
+                        interval.level)}) != 1:
+                    failures.append("label columns disagree in length")
 
         churner = threading.Thread(target=churn)
         pinners = [threading.Thread(target=pinner) for _ in range(4)]

@@ -81,11 +81,11 @@ def test_updates_keep_engine_and_reference_aligned(script):
     for index, record in enumerate(interval.nodes):
         assert record.pre == index
         assert record.pre <= record.end < len(interval.nodes)
-    # The version's tree (built from the spliced columns) is the
-    # reference tree, and the succinct encoding built from the updated
-    # columns equals the one built from the reference tree.
+    # The document read through the version's handles serializes as
+    # the reference tree, and the succinct encoding built from the
+    # updated columns equals the one built from the reference tree.
     version = database.document()
-    assert serialize(version.tree) == serialize(oracle.tree)
+    assert serialize(version.node_for(0)) == serialize(oracle.tree)
     built = SuccinctDocument.from_columns(version.interval, version.content)
     fresh = SuccinctDocument.from_document(oracle.tree)
     mine, theirs = built.to_snapshot(), fresh.to_snapshot()

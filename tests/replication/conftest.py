@@ -1,0 +1,3 @@
+"""The replication suite runs with the tree-building tripwire on."""
+
+from tests.tripwire import forbid_tree_building  # noqa: F401

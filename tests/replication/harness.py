@@ -68,8 +68,7 @@ def make_fragment(rng: random.Random, counter: list) -> str:
 
 def random_op(rng: random.Random, db: Database, counter: list):
     """Pick and APPLY one op on ``db``; returns the op tuple."""
-    tree = db.document(URI).tree
-    root = next(iter(tree.children()))
+    root = db.document(URI).node_for(0).root
     elements = elements_under(root, [root])
     deletable = [e for e in elements
                  if isinstance(e.parent, model.Element)]
@@ -80,7 +79,7 @@ def random_op(rng: random.Random, db: Database, counter: list):
     else:
         parent = rng.choice(elements)
         fragment = make_fragment(rng, counter)
-        path = "/r" if parent is root else f"//{parent.tag}"
+        path = "/r" if parent == root else f"//{parent.tag}"
         op = ("insert", path, fragment)
         db.insert(path, fragment)
     return op
@@ -105,7 +104,7 @@ def probe_tags_for(counter: list, seed: int):
 def observe(db: Database, probe_tags) -> dict:
     """Serialized tree + item-for-item probe answers — the parity
     oracle compared between primary and replicas."""
-    state = {"xml": serialize(db.document(URI).tree)}
+    state = {"xml": serialize(db.document(URI).node_for(0))}
     for tag in sorted(probe_tags):
         result = db.query(f"//{tag}")
         state[tag] = (len(result), result.values())
