@@ -7,8 +7,10 @@ comprehension in one pass.  The bench evaluates Fig.-1-style FLWORs of
 growing nesting depth three ways:
 
 * ``interpreter`` — the reference interpreter (pipelined navigation),
-* ``logical-tpm``  — translated plan, logical τ over the model tree,
-* ``engine-nok``   — translated plan, physical τ over succinct storage.
+* ``logical-tpm``  — translated plan, logical τ navigating the
+  document's root handle (``version.tree``),
+* ``engine-nok``   — translated plan, physical τ (the NoK scan) over the
+  label columns.
 """
 
 import pytest

@@ -26,9 +26,9 @@ columns (its BP bits are checked against the ``level`` column, not
 navigated), and every derived structure — tag index, statistics, both
 value indexes — is restored *verbatim* through the storage classes'
 ``from_snapshot`` / ``restore`` constructors.  Nothing is built per
-node: a restored version's query results are handles on its columns
-(:mod:`repro.storage.handles`), and its model tree is built only if an
-API caller asks for ``version.tree``.
+node: a restored version's query results and its document node
+(``version.tree``) are handles on its columns
+(:mod:`repro.storage.handles`).
 """
 
 from __future__ import annotations

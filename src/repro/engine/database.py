@@ -21,10 +21,11 @@ NoK scans and the columnar and join strategies read — with the tag
 index, the content heap and its value indexes (index-scan) and one-pass
 statistics (cost model), all charging I/O to the database's page
 manager.  A query result is a :mod:`~repro.storage.handles` handle on
-``(version, pre)`` that reads the columns and the content heap; no
-engine path builds a model tree (``version.tree`` is built on first
-access, for API callers).  The paper's succinct encoding is built from
-the columns on demand, for checkpoints and the E1 storage report.
+``(version, pre)`` that reads the columns and the content heap, and a
+version's document node (``version.tree``) is the handle of pre 0:
+nothing builds a model tree from the columns.  The paper's succinct
+encoding is built from the columns on demand, for checkpoints and the
+E1 storage report.
 
 Serving layer
 -------------
@@ -103,8 +104,13 @@ from repro.xml.parser import filter_events, iterparse
 from repro.xml.serializer import serialize
 from repro.xpath.semantics import Context, sequence_boolean
 from repro.storage.content import ContentStore
-from repro.storage.handles import ColumnNode, node_handle, node_handles
-from repro.storage.interval import IntervalDocument, verify_tree
+from repro.storage.handles import (
+    ColumnDocument,
+    ColumnNode,
+    node_handle,
+    node_handles,
+)
+from repro.storage.interval import IntervalDocument
 from repro.storage.pages import PageManager, miss_rate
 from repro.storage.stats import DocumentStatistics
 from repro.storage.succinct import (
@@ -177,30 +183,17 @@ class DocumentVersion:
     # version; set once, on the first Database.planner_for, so every
     # memoized choice was priced at the same buffer-pool miss rate.
     charged_pages: Optional[int] = None
-    debug_checks: bool = False  # check a built tree against the columns
-    _tree: Optional[model.Document] = field(default=None, repr=False,
-                                            compare=False)
-    _tree_lock: threading.Lock = field(default_factory=threading.Lock,
-                                       repr=False, compare=False)
 
     def node_for(self, preorder: int) -> ColumnNode:
         """The handle of a storage pre-order id."""
         return node_handle(self, preorder)
 
     @property
-    def tree(self) -> model.Document:
-        """This version's document as a model tree, built from the
-        columns on first access and kept — for API callers; no engine
-        path reads it."""
-        # Read per call, so the test suites' tripwire can patch it.
-        from repro.storage.interval import materialise
-
-        with self._tree_lock:
-            if self._tree is None:
-                self._tree = materialise(self.interval)
-                if self.debug_checks:
-                    verify_tree(self.interval, self._tree)
-            return self._tree
+    def tree(self) -> ColumnDocument:
+        """This version's document node: the read-only handle of pre 0
+        (a :class:`~repro.storage.handles.ColumnDocument`), which the
+        evaluators navigate like a model tree."""
+        return self.node_for(0)
 
 
 class DatabaseSnapshot:
@@ -718,8 +711,7 @@ class Database:
             content=content, tag_index=tag_index, statistics=statistics,
             value_index=value_index, numeric_index=numeric_index,
             runtime=None,  # type: ignore[arg-type]
-            generation=generation, version_id=self._next_version_id(),
-            debug_checks=self.debug_checks)
+            generation=generation, version_id=self._next_version_id())
         version.runtime = MatchRuntime(
             interval, tag_index, pages=self.pages,
             residual_check=self._residual_checker(version),
@@ -1245,7 +1237,11 @@ class Database:
 
     def reference_query(self, text: str,
                         uri: Optional[str] = None) -> list:
-        """Evaluate with the reference interpreter only (ground truth)."""
+        """Evaluate with the reference interpreter only (ground truth).
+
+        The interpreter navigates each document's root handle
+        (``version.tree``), independent of the physical strategies and
+        of the algebra; it shares the label columns with them."""
         from repro.xquery.interpreter import evaluate_xquery
 
         snapshot = self._snapshot
@@ -1651,8 +1647,7 @@ class Database:
 
     def verify_derived(self, document: DocumentVersion) -> None:
         """Debug cross-check: every incrementally maintained structure
-        must equal a fresh rebuild from the primary stores, and the
-        version's model tree, if one was built, its columns.  Raises
+        must equal a fresh rebuild from the primary stores.  Raises
         :class:`~repro.errors.StorageError` on divergence."""
         fresh_stats = DocumentStatistics(document.interval)
         mine, fresh = (document.statistics.comparable_state(),
@@ -1671,9 +1666,6 @@ class Database:
                 flavour = "numeric" if index.numeric else "string"
                 raise StorageError(
                     f"incremental {flavour} value index diverged")
-        # A model tree built for an API caller is a view of the columns.
-        if document._tree is not None:
-            verify_tree(document.interval, document._tree)
 
     def storage_report(self, uri: Optional[str] = None) -> dict:
         """Byte accounting of every storage structure (experiment E1);

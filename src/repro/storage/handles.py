@@ -50,7 +50,8 @@ __all__ = ["ColumnNode", "ColumnDocument", "ColumnElement",
 
 def _read_only(self, *args, **kwargs):
     raise TypeError(f"{type(self).__name__} is a read-only view of a "
-                    f"stored document version; build a model tree to edit")
+                    f"stored document version; parse its serialization "
+                    f"to edit")
 
 
 class ColumnNode:

@@ -23,13 +23,10 @@ identically by both (document node 0, attribute children before element
 content).
 
 :class:`IntervalNode` records are read-only tuples built on demand for
-the join baselines and tests; query results are the node handles of
-:mod:`repro.storage.handles`.  :func:`materialise` is the one builder of
-a :mod:`repro.xml.model` tree from the columns, for API callers that
-ask a version for its ``tree``: node ``pre`` is built from
-``kinds``/``tags``/``values[pre]`` and attached under node
-``parent[pre]``, and :func:`verify_tree` checks a tree against the
-columns it came from.
+the join baselines and tests; query results, and a version's document
+node, are the node handles of :mod:`repro.storage.handles`, which read
+the columns in place.  No :mod:`repro.xml.model` tree is built from
+them.
 
 The relabelling cost the paper holds against interval encoding is
 reproduced for experiment E7: inserting a subtree relabels every node
@@ -71,8 +68,7 @@ from repro.storage.succinct import (
     decode_snapshot,
 )
 
-__all__ = ["IntervalNode", "IntervalDocument", "materialise", "shifted",
-           "verify_tree"]
+__all__ = ["IntervalNode", "IntervalDocument", "shifted"]
 
 
 class IntervalNode(NamedTuple):
@@ -437,80 +433,3 @@ def _wrap(element: model.Element) -> model.Document:
     document = model.Document()
     document.append(copy.deepcopy(element))
     return document
-
-
-def materialise(interval: IntervalDocument) -> model.Document:
-    """The model tree of the columns: one flat loop over the zipped
-    columns, no tree walk (pre order builds every parent before its
-    children; ``nodes[pre]`` is node ``pre``)."""
-    kinds = interval.kinds
-    if not kinds or kinds[0] != KIND_DOCUMENT:
-        raise SnapshotCorruptError(
-            "interval columns do not start with a document node")
-    nodes: list[model.Node] = [model.Document(uri=interval.uri)]
-    append = nodes.append
-    for parent_pre, kind, tag, value in zip(
-            interval.parent[1:], kinds[1:], interval.tags[1:],
-            interval.values[1:]):
-        parent = nodes[parent_pre]
-        if kind == KIND_ELEMENT:
-            node = parent.adopt(model.Element(tag))
-        elif kind == KIND_TEXT:
-            node = parent.adopt(model.Text(value or ""))
-        elif kind == KIND_ATTRIBUTE:
-            node = parent.adopt_attribute(tag[1:], value or "")
-        elif kind == KIND_COMMENT:
-            node = parent.adopt(model.Comment(value or ""))
-        elif kind == KIND_PI:
-            node = parent.adopt(model.ProcessingInstruction(
-                tag[1:], value or ""))
-        else:
-            raise SnapshotCorruptError(f"unknown node kind {kind}")
-        append(node)
-    return nodes[0]
-
-
-_MODEL_KINDS = {
-    model.Document: KIND_DOCUMENT,
-    model.Element: KIND_ELEMENT,
-    model.Attribute: KIND_ATTRIBUTE,
-    model.Text: KIND_TEXT,
-    model.Comment: KIND_COMMENT,
-    model.ProcessingInstruction: KIND_PI,
-}
-
-
-def _storage_order(tree: model.Document) -> Iterator[model.Node]:
-    """The nodes of ``tree`` in storage pre order: each element, then
-    its attributes, then its content."""
-    for node in tree.descendant_or_self():
-        yield node
-        if isinstance(node, model.Element):
-            yield from node.attributes()
-
-
-def verify_tree(interval: IntervalDocument, tree: model.Document) -> None:
-    """Raise :class:`StorageError` unless ``tree`` is a view of the
-    columns: walked in storage pre order, node ``pre`` has the kind,
-    tag and (for leaves) value of ``pre`` and hangs under node
-    ``parent[pre]``."""
-    nodes = list(_storage_order(tree))
-    if len(nodes) != len(interval):
-        raise StorageError(f"model tree has {len(nodes)} nodes, the "
-                           f"columns {len(interval)}")
-    for pre, (node, kind, tag, value, parent_pre) in enumerate(zip(
-            nodes, interval.kinds, interval.tags, interval.values,
-            interval.parent)):
-        parent = nodes[parent_pre] if parent_pre >= 0 else None
-        if kind == KIND_ELEMENT:
-            name = node.name
-        elif kind in (KIND_ATTRIBUTE, KIND_PI):
-            name = tag[0] + (node.name or "")
-        else:
-            name = tag
-        if (_MODEL_KINDS.get(type(node)) != kind or name != tag
-                or node.parent is not parent
-                or (kind not in (KIND_ELEMENT, KIND_DOCUMENT)
-                    and node.string_value() != (value or ""))):
-            raise StorageError(
-                f"model tree diverges from the columns at pre {pre}")

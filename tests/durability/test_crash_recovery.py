@@ -8,7 +8,7 @@ For each randomized schedule we
 2. run a durable database through the same ops (one checkpoint at
    load, every op WAL-logged), then enumerate every crash point of the
    op WAL: each record boundary *and* torn offsets inside each record;
-3. for each crash point, materialise the directory a crash at that
+3. for each crash point, write out the directory a crash at that
    byte would leave (snapshot files intact, WAL truncated), reopen it
    with ``debug_checks=True`` (recovery replay is cross-checked against
    full rebuilds), and assert the recovered state equals the twin's
@@ -154,7 +154,7 @@ def _crash_offsets(boundaries: list[int]):
     return points
 
 
-def _materialise_crash(live: Path, crash: Path, wal_name: str,
+def _write_crash(live: Path, crash: Path, wal_name: str,
                        offset: int) -> None:
     if crash.exists():
         shutil.rmtree(crash)
@@ -188,7 +188,7 @@ def test_recovery_matches_never_crashed_twin(seed, tmp_path):
 
     crash = tmp_path / "crash"
     for offset, prefix in _crash_offsets(boundaries):
-        _materialise_crash(live, crash, wal_name, offset)
+        _write_crash(live, crash, wal_name, offset)
         recovered = Database.open(crash, debug_checks=True)
         try:
             assert _observe(recovered, probe_tags) == expected[prefix], \

@@ -29,7 +29,6 @@ class TestMapping:
         assert [storage_tag(group[0]) for group in storage_groups(tree)] \
             == [storage_tag(node) for node in nodes]
 
-    @pytest.mark.tree_api
     def test_adjacent_texts_merge_to_one_storage_node(self):
         tree = Document()
         root = tree.append(Element("r"))
@@ -37,13 +36,13 @@ class TestMapping:
         root.append(Text("b"))  # bypasses append_text merging
         document = Database().load_tree(tree, uri="t.xml")
         # The caller's tree is shredded, not kept: the version holds one
-        # text node, as storage does, and so does the tree built for
-        # API callers.
+        # text node, as storage does, and so does its document node.
         assert len(document.interval) == 3  # document, r, merged text
         (text,) = document.node_for(0).root.children()
         assert isinstance(text, Text) and text.value == "ab"
         assert document.node_for(2) == text
         assert document.tree is not tree
+        assert document.tree == document.node_for(0)
         (built,) = document.tree.root.children()
         assert isinstance(built, Text) and built.value == "ab"
 

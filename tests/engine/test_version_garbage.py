@@ -33,10 +33,12 @@ def test_retired_versions_leave_no_cyclic_garbage():
     try:
         for step in range(UPDATES):
             # Readers pin the snapshot, fill the result cache and the
-            # strategy memo, and run residual checks on this version.
+            # strategy memo, run residual checks and evaluate the
+            # reference interpreter on this version.
             pinned.append(database._snapshot)
             for query in QUERIES:
                 assert database.query(query).items
+                assert database.reference_query(query)
             if step % 2 == 0:
                 database.insert("/site/regions/europe",
                                 f"<item><name>n{step}</name></item>")
