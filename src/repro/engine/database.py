@@ -1542,28 +1542,21 @@ class Database:
         """An independent successor of ``base`` for a writer to splice.
 
         Primary stores are cloned (label column and content heap copies
-        — updates splice them in place); derived structures are rebuilt
-        from their snapshot forms (the same restore constructors
-        recovery uses, so no index is recomputed from scratch).
-        Immutable leaves (strings) stay shared.  The clone starts with
-        a fresh strategy memo — its statistics generation carries over,
-        so hot patterns re-memoize after one cost-model pass.
+        — updates splice them in place).  Derived structures pay only
+        for what an update changes: the tag index copies one posting
+        array per tag, the statistics copy their counters, and both
+        value indexes fork their persistent B+ trees (O(1); the
+        successor's inserts path-copy the nodes they touch).  Immutable
+        leaves (strings) stay shared.  The clone starts with a fresh
+        strategy memo — its statistics generation carries over, so hot
+        patterns re-memoize after one cost-model pass.
         """
-        uri = base.uri
         interval = base.interval.clone()
         content = base.content.clone()
-        tag_index = base.tag_index.clone(interval)
-        statistics = DocumentStatistics.from_snapshot(
-            base.statistics.to_snapshot())
-        value_index = ContentIndex.restore(
-            content, base.value_index.to_snapshot(),
-            segment=self.pages.segment(f"value-btree:{uri}"))
-        numeric_index = ContentIndex.restore(
-            content, base.numeric_index.to_snapshot(),
-            segment=self.pages.segment(f"numeric-btree:{uri}"))
-        return self._new_version(interval, content, tag_index, statistics,
-                                 value_index, numeric_index,
-                                 generation=base.generation)
+        return self._new_version(
+            interval, content, base.tag_index.clone(interval),
+            base.statistics.clone(), base.value_index.clone(content),
+            base.numeric_index.clone(content), generation=base.generation)
 
     # -- incremental derived maintenance ------------------------------------------
 

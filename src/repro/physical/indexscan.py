@@ -16,7 +16,7 @@ with an equality value constraint, it
 
 Range predicates (``<``, ``<=``, ``>``, ``>=`` against numeric literals)
 probe the *numeric* value index instead — string order would put "9"
-after "10" — using a leaf-chain range scan.
+after "10" — using a B+ tree range scan over its leaves.
 
 For highly selective predicates this touches a handful of pages where the
 scan-based strategies read everything — the crossover of experiment E5.

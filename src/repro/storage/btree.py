@@ -1,18 +1,31 @@
-"""A from-scratch B+ tree.
+"""A from-scratch persistent B+ tree.
 
 Used as the content-based index the paper builds "only on the content
 information" (Section 4.2): keys are content strings (or any orderable
-Python values), values are lists of pre-order node ids.  Supports bulk
-loading from sorted pairs, point and range search, and insertion.
+Python values), values are lists of content ids.  Supports bulk loading
+from sorted pairs, point and range search, and insertion.
+
+The tree is persistent: :meth:`BPlusTree.insert` path-copies the
+root-to-leaf nodes it touches and mutates no other node, so
+:meth:`BPlusTree.fork` is O(1) — a new tree header over the same root —
+and a fork and its origin share every node that neither changed since.
+A node's key, value and child lists are never mutated once it is
+reachable from a root.  There is no leaf ``next`` chain (a path-copied
+leaf would leave its predecessor pointing at the stale leaf); range
+scans and :meth:`BPlusTree.items` walk the leaves through an explicit
+descent stack.
 
 The tree charges I/O through an optional
-:class:`~repro.storage.pages.Segment`: every node visited on a root-to-leaf
-walk or a leaf-chain scan is one page touch, which is exactly the classic
-cost model for B+ trees.
+:class:`~repro.storage.pages.Segment`: every node visited on a
+root-to-leaf walk is one page touch, and a range scan adds one per
+further leaf it reaches, which is exactly the classic cost model for B+
+trees.  A path copy keeps the ``node_id`` of the node it replaces, so an
+insert is charged as an in-place one would be.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.storage.pages import Segment
@@ -23,12 +36,11 @@ DEFAULT_ORDER = 64
 
 
 class _Leaf:
-    __slots__ = ("keys", "values", "next", "node_id")
+    __slots__ = ("keys", "values", "node_id")
 
     def __init__(self, node_id: int):
         self.keys: list[Any] = []
         self.values: list[list[Any]] = []
-        self.next: Optional["_Leaf"] = None
         self.node_id = node_id
 
 
@@ -45,8 +57,8 @@ class BPlusTree:
     """A B+ tree mapping orderable keys to lists of values.
 
     ``order`` is the maximum number of keys per node.  Duplicate keys are
-    collapsed into one entry whose value list grows — the usual layout for
-    a secondary index.
+    collapsed into one entry whose value list grows (by replacement, never
+    in place) — the usual layout for a secondary index.
     """
 
     def __init__(self, order: int = DEFAULT_ORDER,
@@ -96,9 +108,7 @@ class BPlusTree:
             previous_key = key
             if len(current.keys) >= fill:
                 leaves.append(current)
-                new = tree._new_leaf()
-                current.next = new
-                current = new
+                current = tree._new_leaf()
             current.keys.append(key)
             current.values.append([value])
             tree._entries += 1
@@ -146,6 +156,11 @@ class BPlusTree:
     def __len__(self) -> int:
         return self._entries
 
+    def fork(self) -> "BPlusTree":
+        """A new tree over the same root: inserts into either one
+        path-copy and leave the other unchanged."""
+        return copy.copy(self)
+
     @property
     def height(self) -> int:
         """Number of levels (leaf-only tree = 1)."""
@@ -158,11 +173,18 @@ class BPlusTree:
 
     # -- search -----------------------------------------------------------------------
 
-    def _descend(self, key: Any) -> _Leaf:
+    def _descend(self, key: Any,
+                 path: Optional[list[tuple[_Internal, int]]] = None
+                 ) -> _Leaf:
+        """The leaf ``key`` belongs in, charging each node on the way;
+        ``path`` (if given) receives the ``(internal node, child
+        index)`` steps, root first."""
         node = self._root
         self._charge(node)
         while isinstance(node, _Internal):
             index = _upper_bound(node.keys, key)
+            if path is not None:
+                path.append((node, index))
             node = node.children[index]
             self._charge(node)
         return node
@@ -179,87 +201,99 @@ class BPlusTree:
               include_low: bool = True,
               include_high: bool = True) -> Iterator[tuple[Any, Any]]:
         """Yield ``(key, value)`` pairs with ``low <= key <= high`` (bounds
-        adjustable), walking the leaf chain."""
-        leaf: Optional[_Leaf] = self._descend(low)
+        adjustable), walking the leaves in key order.  Charges the
+        descent path plus one page per further leaf reached."""
+        path: list[tuple[_Internal, int]] = []
+        leaf: Optional[_Leaf] = self._descend(low, path)
         index = _lower_bound(leaf.keys, low)
         while leaf is not None:
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
+            keys, values = leaf.keys, leaf.values
+            while index < len(keys):
+                key = keys[index]
                 if key > high or (key == high and not include_high):
                     return
                 if key > low or (key == low and include_low):
-                    for value in leaf.values[index]:
+                    for value in values[index]:
                         yield key, value
                 index += 1
-            leaf = leaf.next
+            leaf = _next_leaf(path)
             index = 0
             if leaf is not None:
                 self._charge(leaf)
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         """Every ``(key, value)`` pair in key order."""
-        node = self._root
-        while isinstance(node, _Internal):
-            node = node.children[0]
-        leaf: Optional[_Leaf] = node
-        while leaf is not None:
-            for key, values in zip(leaf.keys, leaf.values):
+        stack: list[Any] = [self._root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Internal):
+                stack.extend(reversed(node.children))
+                continue
+            for key, values in zip(node.keys, node.values):
                 for value in values:
                     yield key, value
-            leaf = leaf.next
 
     # -- insert -------------------------------------------------------------------------
 
     def insert(self, key: Any, value: Any) -> None:
-        """Insert one ``(key, value)`` pair, splitting nodes as needed."""
-        split = self._insert_into(self._root, key, value)
+        """Insert one ``(key, value)`` pair, path-copying the nodes it
+        touches and splitting as needed (forks stay unchanged)."""
+        root, split = self._insert_into(self._root, key, value)
         if split is not None:
             separator, right = split
-            root = self._new_internal()
-            root.keys = [separator]
-            root.children = [self._root, right]
-            self._root = root
+            parent = self._new_internal()
+            parent.keys = [separator]
+            parent.children = [root, right]
+            root = parent
             self._height += 1
+        self._root = root
         self._entries += 1
 
-    def _insert_into(self, node: Any, key: Any,
-                     value: Any) -> Optional[tuple[Any, Any]]:
+    def _insert_into(self, node: Any, key: Any, value: Any
+                     ) -> tuple[Any, Optional[tuple[Any, Any]]]:
+        """The copy of ``node`` holding the new pair, and the
+        ``(separator, right sibling)`` of a split (None if none)."""
         self._charge(node)
         if isinstance(node, _Leaf):
-            index = _lower_bound(node.keys, key)
-            if index < len(node.keys) and node.keys[index] == key:
-                node.values[index].append(value)
-                return None
-            node.keys.insert(index, key)
-            node.values.insert(index, [value])
-            if len(node.keys) <= self.order:
-                return None
-            middle = len(node.keys) // 2
+            leaf = _Leaf(node.node_id)
+            keys, values = node.keys, node.values[:]
+            index = _lower_bound(keys, key)
+            if index < len(keys) and keys[index] == key:
+                values[index] = values[index] + [value]
+                leaf.keys, leaf.values = keys, values
+                return leaf, None
+            keys = keys[:]
+            keys.insert(index, key)
+            values.insert(index, [value])
+            if len(keys) <= self.order:
+                leaf.keys, leaf.values = keys, values
+                return leaf, None
+            middle = len(keys) // 2
             right = self._new_leaf()
-            right.keys = node.keys[middle:]
-            right.values = node.values[middle:]
-            node.keys = node.keys[:middle]
-            node.values = node.values[:middle]
-            right.next = node.next
-            node.next = right
-            return right.keys[0], right
+            right.keys, right.values = keys[middle:], values[middle:]
+            leaf.keys, leaf.values = keys[:middle], values[:middle]
+            return leaf, (right.keys[0], right)
         index = _upper_bound(node.keys, key)
-        split = self._insert_into(node.children[index], key, value)
+        child, split = self._insert_into(node.children[index], key, value)
+        copied = _Internal(node.node_id)
+        keys, children = node.keys, node.children[:]
+        children[index] = child
         if split is None:
-            return None
+            copied.keys, copied.children = keys, children
+            return copied, None
         separator, right_child = split
-        node.keys.insert(index, separator)
-        node.children.insert(index + 1, right_child)
-        if len(node.keys) <= self.order:
-            return None
-        middle = len(node.keys) // 2
+        keys = keys[:]
+        keys.insert(index, separator)
+        children.insert(index + 1, right_child)
+        if len(keys) <= self.order:
+            copied.keys, copied.children = keys, children
+            return copied, None
+        middle = len(keys) // 2
         right = self._new_internal()
-        push_up = node.keys[middle]
-        right.keys = node.keys[middle + 1:]
-        right.children = node.children[middle + 1:]
-        node.keys = node.keys[:middle]
-        node.children = node.children[:middle + 1]
-        return push_up, right
+        push_up = keys[middle]
+        right.keys, right.children = keys[middle + 1:], children[middle + 1:]
+        copied.keys, copied.children = keys[:middle], children[:middle + 1]
+        return copied, (push_up, right)
 
     # -- accounting -----------------------------------------------------------------------
 
@@ -279,6 +313,22 @@ class BPlusTree:
         child-pointer overhead."""
         return (self._entries * (key_bytes + value_bytes)
                 + self.node_count() * 16)
+
+
+def _next_leaf(path: list[tuple[_Internal, int]]) -> Optional[_Leaf]:
+    """Advance a descent stack of ``(internal node, child index)`` from
+    root to the current leaf to the next leaf in key order (None past
+    the last one)."""
+    while path:
+        node, index = path.pop()
+        if index + 1 < len(node.children):
+            path.append((node, index + 1))
+            child = node.children[index + 1]
+            while isinstance(child, _Internal):
+                path.append((child, 0))
+                child = child.children[0]
+            return child
+    return None
 
 
 def _lower_bound(keys: list[Any], key: Any) -> int:

@@ -29,6 +29,7 @@ adjusts for the block and its exterior ancestors only; it stays exact
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from typing import Optional
 
@@ -177,6 +178,22 @@ class DocumentStatistics:
         """Refresh ``max_depth`` from the exact depth histogram once the
         stores settled."""
         self.max_depth = max(self.depth_histogram, default=0)
+
+    def clone(self) -> "DocumentStatistics":
+        """An independent copy for a copy-on-write successor: every
+        counter (each inner ``distinct_values`` Counter too) is copied
+        at C speed, so deltas applied to the copy leave this one
+        unchanged."""
+        stats = copy.copy(self)
+        stats.tag_counts = self.tag_counts.copy()
+        stats.edge_counts = self.edge_counts.copy()
+        stats.descendant_counts = self.descendant_counts.copy()
+        stats.depth_histogram = self.depth_histogram.copy()
+        stats.distinct_values = {tag: values.copy() for tag, values
+                                 in self.distinct_values.items()}
+        if self._fragmented is not None:
+            stats._fragmented = self._fragmented.copy()
+        return stats
 
     # -- serialization ----------------------------------------------------------
 

@@ -19,6 +19,14 @@ renumbers during its splice.  Consequences:
 * when tombstones outnumber live entries the index compacts itself
   (one bulk load over the surviving entries).
 
+Because content ids are stable, a copy-on-write successor needs no
+private copy of the tree: :meth:`ContentIndex.clone` forks the
+persistent :class:`~repro.storage.btree.BPlusTree` (O(1)) over the
+successor's content store.  The successor's inserts path-copy only the
+nodes they touch, and the entries a successor tombstones resolve to
+owner -1 through *its* owner column only, so the parent version keeps
+answering as before.  A compaction bulk-builds a private tree.
+
 The probe API (:meth:`search`, :meth:`range`) returns owner pre-order
 ids, exactly like the raw B+ tree the
 :class:`~repro.physical.indexscan.IndexScanMatcher` consumed before, so
@@ -27,6 +35,7 @@ the physical layer is unchanged.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.storage.btree import BPlusTree
@@ -156,6 +165,15 @@ class ContentIndex:
         index.compactions = state["compactions"]
         index.tree = BPlusTree.bulk_load(
             zip(state["keys"], state["content_ids"]), segment=segment)
+        return index
+
+    def clone(self, store: ContentStore) -> "ContentIndex":
+        """A successor's index over ``store`` (the cloned content heap)
+        for copy-on-write versioning: the tree is forked, not copied,
+        and the tombstone counters carry over."""
+        index = copy.copy(self)
+        index.store = store
+        index.tree = self.tree.fork()
         return index
 
     # -- probes (the IndexScanMatcher contract) -----------------------------------

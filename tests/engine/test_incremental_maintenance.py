@@ -40,6 +40,33 @@ class TestIncrementalPath:
         database.delete("/shop/item[1]")
         assert database.query("//item/name").values() == ["n1", "n2", "nx"]
 
+    def test_successor_shares_indexes_without_snapshot_round_trip(
+            self, db, monkeypatch):
+        """A successor forks its parent's value B+ trees and copies its
+        statistics directly: no snapshot form is built or restored."""
+        from repro.storage.stats import DocumentStatistics
+        from repro.storage.valueindex import ContentIndex
+
+        def boom(*args, **kwargs):  # pragma: no cover - fails if hit
+            raise AssertionError("an update must not round-trip a "
+                                 "snapshot")
+
+        for owner, name in ((ContentIndex, "to_snapshot"),
+                            (ContentIndex, "restore"),
+                            (DocumentStatistics, "to_snapshot"),
+                            (DocumentStatistics, "from_snapshot")):
+            monkeypatch.setattr(owner, name, boom)
+        base = db.document()
+        db.insert("/shop", '<item sku="x"><name>nx</name>'
+                           '<price>42</price></item>')
+        db.delete("/shop/item[1]")
+        assert db.query("//item[price = 42]/name").values() == ["nx"]
+        after = db.document()
+        assert base.value_index.search("n0") \
+            and not after.value_index.search("n0")
+        assert after.value_index.search("nx") \
+            and not base.value_index.search("nx")
+
     def test_insert_cross_checked(self, db):
         db.insert("/shop", '<item sku="x"><name>nx</name>'
                            '<price>42</price></item>', position=0)

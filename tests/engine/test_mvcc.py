@@ -105,6 +105,43 @@ class TestVersionPinning:
         assert db.active_pins == 0  # every pin was released
 
 
+class TestSharedValueIndexes:
+    def test_pinned_version_answers_index_probes_as_before(self):
+        """Successors fork their parent's value B+ trees and path-copy
+        what they insert: a version pinned before 40 inserts and 20
+        deletes answers forced index-scan probes (string equality and
+        numeric range) exactly as before them, while the newest
+        version sees the inserted values."""
+        db = make_db(result_cache_size=0)
+
+        def probe(query: str, snapshot=None) -> list:
+            plan, plan_hit = db._compiled_plan(query)
+            result = db._run_compiled(query, plan, plan_hit=plan_hit,
+                                      strategy="index-scan", uri=None,
+                                      variables=None, snapshot=snapshot)
+            assert result.strategy == "index-scan"
+            return result.values()
+
+        probes = ["//item[name = 'beta']/@sku", "//item[price > 20]/name",
+                  "//item[name = 'n39']/name", "//item[price > 130]/name"]
+        pinned = db._snapshot
+        before = {query: probe(query, pinned) for query in probes}
+        assert before["//item[name = 'beta']/@sku"] == ["b"]
+        assert before["//item[price > 20]/name"] == ["beta", "gamma"]
+        for step in range(40):
+            db.insert("/shop", f"<item sku='s{step}'><name>n{step}</name>"
+                               f"<price>{100 + step}</price></item>")
+            if step % 2:
+                db.delete("/shop/item[1]")
+        assert {query: probe(query, pinned) for query in probes} == before
+        assert probe("//item[name = 'n39']/name") == ["n39"]
+        assert probe("//item[name = 'beta']/@sku") == []
+        assert probe("//item[price > 130]/name") == \
+            [f"n{step}" for step in range(31, 40)]
+        for query in probes:
+            assert probe(query) == db.query(query, strategy="nok").values()
+
+
 class TestPublishAtomicity:
     def test_snapshot_swap_is_all_or_nothing(self):
         """Concurrent pinners only ever observe complete snapshots:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.btree import BPlusTree
+from repro.storage.btree import BPlusTree, _Internal
 from repro.storage.pages import PageManager
 
 
@@ -147,3 +147,111 @@ def test_range_matches_model(keys, low, high):
     tree = BPlusTree.bulk_load([(k, k) for k in sorted(keys)], order=8)
     expected = sorted(k for k in keys if low <= k <= high)
     assert [k for k, _ in tree.range(low, high)] == expected
+
+
+# -- persistence: a fork and its origin never see each other's inserts ----------
+
+def _model_items(model: dict) -> list:
+    return [(key, value) for key in sorted(model) for value in model[key]]
+
+
+def _assert_matches(tree: BPlusTree, model: dict, low: int,
+                    high: int) -> None:
+    assert list(tree.items()) == _model_items(model)
+    assert len(tree) == sum(len(values) for values in model.values())
+    for key, values in model.items():
+        assert tree.search(key) == values
+    assert list(tree.range(low, high)) == [
+        (key, value) for key, value in _model_items(model)
+        if low <= key <= high]
+
+
+@given(st.lists(st.tuples(st.integers(-300, 300), st.integers()),
+                max_size=200),
+       st.lists(st.tuples(st.integers(-300, 300), st.integers()),
+                max_size=200),
+       st.lists(st.tuples(st.integers(-300, 300), st.integers()),
+                max_size=60),
+       st.integers(min_value=4, max_value=8),
+       st.integers(-300, 300), st.integers(-300, 300))
+@settings(max_examples=60, deadline=None)
+def test_fork_inserts_leave_the_original_unchanged(base, forked, later,
+                                                   order, low, high):
+    low, high = min(low, high), max(low, high)
+    tree = BPlusTree(order=order)
+    original: dict[int, list[int]] = {}
+    for key, value in base:
+        tree.insert(key, value)
+        original.setdefault(key, []).append(value)
+    fork = tree.fork()
+    both = {key: list(values) for key, values in original.items()}
+    for key, value in forked:
+        fork.insert(key, value)
+        both.setdefault(key, []).append(value)
+    # The original keeps growing on its own; the fork must not see it.
+    for key, value in later:
+        tree.insert(key, value)
+        original.setdefault(key, []).append(value)
+    _assert_matches(tree, original, low, high)
+    _assert_matches(fork, both, low, high)
+
+
+@given(st.lists(st.tuples(st.integers(0, 400), st.integers()),
+                min_size=1, max_size=200),
+       st.integers(min_value=4, max_value=8))
+@settings(max_examples=40, deadline=None)
+def test_forked_bulk_load_shares_nothing_it_changes(inserted, order):
+    pairs = [(key, key) for key in range(0, 400, 3)]
+    tree = BPlusTree.bulk_load(pairs, order=order)
+    fork = tree.fork()
+    model: dict[int, list[int]] = {key: [key] for key, _ in pairs}
+    both = {key: list(values) for key, values in model.items()}
+    for key, value in inserted:
+        fork.insert(key, value)
+        both.setdefault(key, []).append(value)
+    _assert_matches(tree, model, 0, 400)
+    _assert_matches(fork, both, 0, 400)
+
+
+def _leaf_keys(tree: BPlusTree) -> list[list]:
+    """Each leaf's keys, in key order."""
+    leaves, stack = [], [tree._root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Internal):
+            stack.extend(reversed(node.children))
+        else:
+            leaves.append(node.keys)
+    return leaves
+
+
+@given(st.lists(st.integers(0, 2000), min_size=40, max_size=400,
+                unique=True),
+       st.integers(min_value=4, max_value=8),
+       st.integers(-10, 2010), st.integers(-10, 2010))
+@settings(max_examples=40, deadline=None)
+def test_range_charges_descent_plus_further_leaves(keys, order, low, high):
+    """A range scan touches the root-to-leaf path for ``low`` plus one
+    page per further leaf it reaches (the leaf whose first key already
+    exceeds ``high`` included; no internal node is charged twice)."""
+    low, high = min(low, high), max(low, high)
+    pages = PageManager(pool_pages=4096)
+    tree = BPlusTree(order=order, segment=pages.segment("btree"))
+    for key in keys:
+        tree.insert(key, key)
+    leaves = _leaf_keys(tree)
+    assert len(leaves) > 2
+    # The descent for ``low`` ends in the last leaf whose first key is
+    # <= low (or the first leaf); the scan then reaches every later leaf
+    # up to the first one holding a key > high.
+    first = max([index for index, leaf in enumerate(leaves)
+                 if leaf[0] <= low], default=0)
+    last = first
+    while last + 1 < len(leaves) and leaves[last][-1] <= high:
+        last += 1
+    pages.reset()
+    got = [key for key, _ in tree.range(low, high)]
+    assert got == sorted(key for key in keys if low <= key <= high)
+    counters = pages.counters.snapshot()
+    touched = counters["page_reads"] + counters["pool_hits"]
+    assert touched == tree.height + (last - first)

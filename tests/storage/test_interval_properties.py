@@ -8,6 +8,7 @@ what the record-by-record relabel loop reports; that loop (the store's
 previous update algorithm) is kept below as the oracle.
 """
 
+import copy
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.storage.interval import IntervalDocument, _wrap
 from repro.storage.stats import DocumentStatistics
-from repro.storage.succinct import KIND_ATTRIBUTE
+from repro.storage.succinct import KIND_ATTRIBUTE, KIND_ELEMENT
 from repro.storage.tagindex import TagIndex
 from repro.xml import model
 from repro.xml.events import events_from_tree
@@ -195,3 +196,44 @@ def test_restored_statistics_without_counts_rebuild_on_update():
         fresh = DocumentStatistics(interval)
         assert statistics.comparable_state() == fresh.comparable_state()
         assert statistics._fragmented == fresh._fragmented
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 10**6),
+                          st.integers(0, 10**6), small_subtrees()),
+                min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_statistics_clone_leaves_the_base_unchanged(operations):
+    """Deltas applied to a clone, as a copy-on-write successor applies
+    them, never reach the statistics it was cloned from (each inner
+    ``distinct_values`` Counter included), and the clone stays exact."""
+    base_interval = IntervalDocument.from_document(parse(SAMPLE))
+    base = DocumentStatistics(base_interval)
+    before = copy.deepcopy(base.comparable_state())
+    fragmented_before = copy.deepcopy(base._fragmented)
+    interval, statistics = base_interval.clone(), base.clone()
+    for is_insert, pick, slot, subtree in operations:
+        kinds = interval.kinds
+        if is_insert:
+            parents = [pre for pre, kind in enumerate(kinds)
+                       if kind == KIND_ELEMENT]
+            parent = parents[pick % len(parents)]
+            children = sum(kinds[child] != KIND_ATTRIBUTE
+                           for child in interval.child_pres(parent))
+            metrics = interval.insert_subtree(
+                parent, slot % (children + 1), subtree)
+            statistics.apply_insert(interval, metrics["inserted_at"],
+                                    metrics["inserted_nodes"])
+        else:
+            victims = [pre for pre in range(1, len(interval))
+                       if kinds[pre] != KIND_ATTRIBUTE
+                       and interval.parent[pre] > 0]   # keep the root
+            if not victims:
+                continue
+            victim = victims[pick % len(victims)]
+            statistics.apply_delete(interval, victim)
+            interval.delete_subtree(victim)
+        statistics.finalize_update()
+        assert base.comparable_state() == before
+        assert base._fragmented == fragmented_before
+    assert statistics.comparable_state() == \
+        DocumentStatistics(interval).comparable_state()

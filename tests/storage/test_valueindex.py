@@ -100,3 +100,37 @@ class TestCompaction:
         store.mark_dead(2)
         assert index.entries() == sorted(
             [("alpha", 2), ("42", 4), ("9", 8)])
+
+
+class TestClone:
+    def test_clone_changes_stay_in_the_clone(self, store):
+        """A successor's index forks the B+ tree over the successor's
+        content heap: its adds and tombstones (and a compaction) never
+        reach the index it was cloned from."""
+        index = ContentIndex(store)
+        successor_store = store.clone()
+        successor = index.clone(successor_store)
+        assert successor.store is successor_store
+        new_id = successor_store.append("alpha", 10)
+        assert successor.add_content(new_id)
+        successor_store.mark_dead(0)
+        successor.drop_content([0])
+        assert sorted(successor.search("alpha")) == [6, 10]
+        assert sorted(index.search("alpha")) == [2, 6]
+        assert (len(index), index.dead_entries) == (4, 0)
+        assert (len(successor), successor.dead_entries) == (4, 1)
+
+    def test_compaction_in_a_clone_leaves_the_base_tree(self):
+        content = ContentStore()
+        for i in range(200):
+            content.append(f"v{i}", i)
+        index = ContentIndex(content)
+        successor_store = content.clone()
+        successor = index.clone(successor_store)
+        for i in range(150):
+            successor_store.mark_dead(i)
+        successor.note_dead(150)
+        assert successor.compactions == 1 and index.compactions == 0
+        assert successor.search("v0") == [] and index.search("v0") == [0]
+        assert len(index.entries()) == 200
+        assert len(successor.entries()) == 50
